@@ -18,7 +18,7 @@ use crate::balance::Balancing;
 use crate::heuristics::{
     decide, decide_exact, default_format, Decision, MatrixSummary, SwConfig, Thresholds,
 };
-use crate::host::{self, ExecBackend, HostOperand};
+use crate::host::{self, ExecBackend, HostOperand, HostScratch, Walk};
 use crate::kernels::convert::{self, Direction};
 use crate::kernels::{formats, ip, op};
 use crate::ops::{apply, GraphOp, OpProfile, SpmvOp, Update};
@@ -230,6 +230,12 @@ pub struct CacheStats {
     /// on a static `Proven` verdict, epochs dynamically replayed, and
     /// replays rolled back to sequential (see [`EpochStats`]).
     pub epochs: EpochStats,
+    /// Host-backend steps that ran the row-scanning [`Walk::Pull`],
+    /// summed over all sessions.
+    pub host_pull_steps: u64,
+    /// Host-backend steps that ran the active-column [`Walk::Push`],
+    /// summed over all sessions.
+    pub host_push_steps: u64,
 }
 
 /// One CoSPARSE session over a shared operand matrix.
@@ -273,6 +279,13 @@ pub struct CoSparse {
     perm_buf: Vec<Idx>,
     /// Reusable staging for the active `(index, value)` entries.
     entries_buf: Vec<(Idx, f32)>,
+    /// Host-backend walk scratch, reused across steps.
+    host_scratch: HostScratch,
+    /// Threads a host pull may fan out over: the host's CPUs for a
+    /// standalone session, its share of them under a
+    /// [`crate::GraphService`] worker pool (see
+    /// [`CoSparse::set_host_threads`]).
+    host_threads: usize,
     /// Analyzer verdict of the most recently executed program (cloned
     /// off the program at dispatch; see [`CoSparse::last_analysis`]).
     last_analysis: Option<Analysis>,
@@ -331,6 +344,8 @@ impl CoSparse {
             indices_buf: Vec::new(),
             perm_buf: Vec::new(),
             entries_buf: Vec::new(),
+            host_scratch: HostScratch::default(),
+            host_threads: transmuter::host_cpus(),
             last_analysis: None,
             deep_analysis: false,
         }
@@ -357,7 +372,22 @@ impl CoSparse {
             conversion_builds: shared.conversion_builds,
             steady_memo: self.machine.memo_stats(),
             epochs: self.machine.epoch_stats(),
+            host_pull_steps: shared.host_pull_steps,
+            host_push_steps: shared.host_push_steps,
         }
+    }
+
+    /// Caps the threads a host pull fans out over. A [`crate::GraphService`]
+    /// worker pool already fills the CPUs, so its sessions get
+    /// `max(1, cpus / workers)` instead of nesting a fan-out per worker.
+    pub(crate) fn set_host_threads(&mut self, threads: usize) {
+        self.host_threads = threads.max(1);
+    }
+
+    /// Threads a host pull may fan out over.
+    #[cfg(test)]
+    pub(crate) fn host_threads(&self) -> usize {
+        self.host_threads
     }
 
     /// The static epoch-dependence verdict of the most recently executed
@@ -422,10 +452,13 @@ impl CoSparse {
     /// [`ExecBackend::Simulate`]).
     ///
     /// Under [`ExecBackend::Host`] the runtime still walks the decision
-    /// tree (the dataflow choice picks the host path: IP → row loops,
-    /// OP → active-column loops) but no simulated machine is in the
-    /// path: results are computed natively against host memory and
-    /// reports carry wall-clock `seconds` with zero `cycles`.
+    /// tree (outcomes report it, and an inner-product decision's format
+    /// is the one a pull scans) but no simulated machine is in the
+    /// path: each step runs natively against host memory by whichever
+    /// [`Walk`] does less work on its frontier (see
+    /// [`crate::host`]), and reports carry wall-clock `seconds` with
+    /// zero `cycles`. Host walk counts are in
+    /// [`CacheStats::host_pull_steps`] / [`CacheStats::host_push_steps`].
     /// [`ExecBackend::Differential`] runs both and asserts bit-equal
     /// results. Verification ([`CoSparse::set_verify`]) and adaptive
     /// cycle recording apply only to the simulate path.
@@ -1149,8 +1182,8 @@ impl CoSparse {
 
     /// One host-backend step: ensures the plan (for its row
     /// partitioning) and the decided format's host structure, then
-    /// evaluates the decided dataflow natively. Returns the updates and
-    /// a wall-clock report.
+    /// evaluates the step natively by the cheaper [`Walk`]. Returns the
+    /// updates and a wall-clock report.
     fn host_step<O: GraphOp>(
         &mut self,
         op: &O,
@@ -1161,10 +1194,10 @@ impl CoSparse {
     ) -> (Vec<Update<O::Value>>, SimReport) {
         self.ensure_plan(profile, decision.format, decision.reorder);
         let plan = self.plan.as_ref().expect("plan ensured above");
-        // The inner dataflow walks the decided format natively against
-        // the *original-order* images (the reordering axis shapes the
-        // simulated address stream only); the outer dataflow always
-        // merges CSC columns.
+        // A pull scans the decided format natively against the
+        // *original-order* images (the reordering axis shapes the
+        // simulated address stream only); outer-product decisions, whose
+        // format is the CSC the push walks, pull over CSR.
         let operand = match (decision.software, decision.format) {
             (SwConfig::InnerProduct, FormatKind::Bitmap) => {
                 HostOperand::Bitmap(self.shared.bitmap())
@@ -1173,9 +1206,8 @@ impl CoSparse {
             _ => HostOperand::Csr(self.shared.csr()),
         };
         let t0 = std::time::Instant::now();
-        let updates = host::execute(
+        let (updates, walk) = host::execute(
             op,
-            decision.software,
             operand,
             self.shared.matrix_csc(),
             host::StepInputs {
@@ -1184,8 +1216,15 @@ impl CoSparse {
                 degrees: self.shared.degrees(),
             },
             &plan.shared.ip_partition,
+            self.host_threads,
+            &mut self.host_scratch,
         );
         let report = self.host_report(t0.elapsed().as_secs_f64());
+        let counters = self.shared.counters();
+        SharedCounters::bump(match walk {
+            Walk::Pull => &counters.host_pull_steps,
+            Walk::Push => &counters.host_push_steps,
+        });
         (updates, report)
     }
 

@@ -180,10 +180,7 @@ pub struct ServeConfig {
 
 impl Default for ServeConfig {
     fn default() -> Self {
-        let workers = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(8);
+        let workers = transmuter::host_cpus().min(8);
         ServeConfig {
             workers,
             batch: 16,
@@ -256,10 +253,14 @@ impl<T: Send + 'static> GraphService<T> {
             counters: ServeCounters::default(),
             cache: Mutex::new(QueryCache::default()),
         });
+        // The pool already fills the CPUs: a worker's host kernels get
+        // its share of them rather than fanning out on top of the pool.
+        let host_threads = (transmuter::host_cpus() / workers).max(1);
         let handles = (0..workers)
             .map(|i| {
                 let mut session = graph.session();
                 session.set_backend(config.backend);
+                session.set_host_threads(host_threads);
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("cosparse-serve-{i}"))
@@ -514,6 +515,45 @@ mod tests {
             queue_cap: 256,
             backend,
         }
+    }
+
+    /// The pool fills the CPUs, so worker sessions get `cpus / workers`
+    /// host threads (at least one) instead of nesting a pull fan-out
+    /// under every worker; a standalone session keeps all of them. A
+    /// pool as wide as the host runs every kernel on its own worker
+    /// thread, and its answers stay exact.
+    #[test]
+    fn worker_sessions_share_the_cpus_instead_of_nesting_fan_outs() {
+        let cpus = transmuter::host_cpus();
+        let g = graph(256, 2000);
+        assert_eq!(g.session().host_threads(), cpus, "standalone session");
+        for (workers, budget) in [(cpus, 1), (cpus * 2, 1), (1, cpus)] {
+            let service = GraphService::start(Arc::clone(&g), config(workers, ExecBackend::Host));
+            let x = sparse::generate::random_dense_vector(256, 9);
+            let want = g
+                .session()
+                .spmv(&Frontier::Dense(x.clone()))
+                .unwrap()
+                .result;
+            let tickets: Vec<_> = (0..2 * workers)
+                .map(|_| {
+                    let x = x.clone();
+                    service.submit(move |session| {
+                        let threads = session.host_threads();
+                        let out = session.spmv(&Frontier::Dense(x)).map(|o| o.result);
+                        (threads, out)
+                    })
+                })
+                .collect();
+            for t in tickets {
+                let (threads, out) = t.wait();
+                assert_eq!(threads, budget, "{workers} workers on {cpus} CPUs");
+                assert_eq!(out.unwrap(), want);
+            }
+            service.shutdown();
+        }
+        let pulls = g.cache_stats().host_pull_steps;
+        assert!(pulls > 0, "dense SpMVs pull on the host");
     }
 
     #[test]

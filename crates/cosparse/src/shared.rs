@@ -72,6 +72,12 @@ pub struct SharedCacheStats {
     /// Reordered matrix operand sets (permutation + permuted COO/CSC)
     /// materialized, at most one per [`ReorderKind`] per graph.
     pub reorder_builds: u64,
+    /// Host-backend steps that ran the row-scanning pull walk, summed
+    /// over all sessions (see [`crate::host::Walk`]).
+    pub host_pull_steps: u64,
+    /// Host-backend steps that ran the active-column push walk, summed
+    /// over all sessions.
+    pub host_push_steps: u64,
 }
 
 /// Graph-level cache counters, updated with relaxed atomics from every
@@ -87,6 +93,8 @@ pub(crate) struct SharedCounters {
     pub(crate) conversion_builds: AtomicU64,
     pub(crate) format_builds: AtomicU64,
     pub(crate) reorder_builds: AtomicU64,
+    pub(crate) host_pull_steps: AtomicU64,
+    pub(crate) host_push_steps: AtomicU64,
 }
 
 impl SharedCounters {
@@ -101,6 +109,8 @@ impl SharedCounters {
             conversion_builds: self.conversion_builds.load(Ordering::Relaxed),
             format_builds: self.format_builds.load(Ordering::Relaxed),
             reorder_builds: self.reorder_builds.load(Ordering::Relaxed),
+            host_pull_steps: self.host_pull_steps.load(Ordering::Relaxed),
+            host_push_steps: self.host_push_steps.load(Ordering::Relaxed),
         }
     }
 

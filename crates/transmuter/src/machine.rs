@@ -401,6 +401,15 @@ pub enum ExecMode {
     ParallelTiles,
 }
 
+/// The host's available parallelism (1 when it cannot be read), read
+/// once per process. `std::thread::available_parallelism` re-reads the
+/// cgroup quota files on every call, which costs tens of microseconds —
+/// too much for per-invocation decisions on the hot path.
+pub fn host_cpus() -> usize {
+    static CPUS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// One recorded steady-state [`Machine::run_program`] execution.
 ///
 /// A run is a pure function of `(program, pre-run bank state)` once the
@@ -865,9 +874,7 @@ impl Machine {
         let parallel = match self.exec_mode {
             ExecMode::Sequential => false,
             ExecMode::ParallelTiles => eligible,
-            ExecMode::Auto => {
-                eligible && std::thread::available_parallelism().is_ok_and(|n| n.get() > 1)
-            }
+            ExecMode::Auto => eligible && host_cpus() > 1,
         };
         let last_done = if parallel {
             self.run_epochs(prog, &mut lanes, start)?
