@@ -1,15 +1,17 @@
 //! Criterion microbenchmarks of the transmuter simulator itself:
-//! event-loop throughput, memory-system resolution cost, and end-to-end
-//! small SpMV invocations under both dataflows. Useful for tracking
-//! regressions in the simulator's host performance (simulated cycles
-//! per host second).
+//! event-loop throughput, the compiled-program interpreter that kernels
+//! run on, memory-system resolution cost, and end-to-end small SpMV
+//! invocations under both dataflows. Useful for tracking regressions in
+//! the simulator's host performance (simulated cycles per host second).
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
 
 use bench::run_spmv_fixed;
 use cosparse::SwConfig;
-use transmuter::{Geometry, HwConfig, Machine, MicroArch, Op, StreamSet};
+use transmuter::{
+    ExecMode, Geometry, HwConfig, Machine, MicroArch, Op, Program, StreamBuilder, StreamSet,
+};
 
 fn bench_event_loop(c: &mut Criterion) {
     let g = Geometry::new(4, 8);
@@ -68,6 +70,65 @@ fn bench_event_loop(c: &mut Criterion) {
     group.finish();
 }
 
+/// Inner-product-shaped streams: per row, a sequential matrix load,
+/// `compute(1)`, an operand gather (a scratchpad load when `spm`, else a
+/// scattered global load) and `compute(3)`.
+fn ip_streams(g: Geometry, rows: u64, spm: bool) -> Vec<(usize, Vec<Op>)> {
+    let mut streams = Vec::new();
+    for t in 0..g.tiles() {
+        for pe in 0..g.pes_per_tile() {
+            let w = g.pe_id(t, pe);
+            let mut z = w as u64 + 1;
+            let mut b = StreamBuilder::new();
+            for i in 0..rows {
+                z ^= z << 13;
+                z ^= z >> 7;
+                z ^= z << 17;
+                b.load(w as u64 * 0x10_0000 + i * 8).compute(1);
+                if spm {
+                    b.spm_load((z % 2048) as u32 * 4);
+                } else {
+                    b.load(0x800_0000 + (z % 0x4_0000) * 4);
+                }
+                b.compute(3);
+            }
+            streams.push((w, b.into_stream().collect()));
+        }
+    }
+    streams
+}
+
+fn bench_program(c: &mut Criterion) {
+    let g = Geometry::new(2, 8);
+    let mut group = c.benchmark_group("program");
+    group.sample_size(20);
+    for (name, hw) in [
+        ("ip_scs_256k_ops", HwConfig::Scs),
+        ("ip_pc_256k_ops", HwConfig::Pc),
+    ] {
+        let streams = ip_streams(g, 4_000, hw == HwConfig::Scs);
+        let prog = Program::compile(
+            g,
+            hw,
+            &MicroArch::paper(),
+            streams.iter().map(|(w, ops)| (*w, ops.as_slice())),
+        );
+        group.bench_function(name, |b| {
+            b.iter_batched(
+                || {
+                    let mut m = Machine::new(g, MicroArch::paper());
+                    m.reconfigure(hw);
+                    m.set_exec_mode(ExecMode::Sequential);
+                    m
+                },
+                |mut m| black_box(m.run_program(&prog).unwrap()),
+                BatchSize::LargeInput,
+            )
+        });
+    }
+    group.finish();
+}
+
 fn bench_reconfiguration(c: &mut Criterion) {
     let g = Geometry::new(4, 8);
     let mut group = c.benchmark_group("reconfiguration");
@@ -119,6 +180,7 @@ fn bench_end_to_end(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_event_loop,
+    bench_program,
     bench_reconfiguration,
     bench_end_to_end
 );

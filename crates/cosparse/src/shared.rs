@@ -625,6 +625,11 @@ impl SharedGraph {
     /// building it under the registry lock on the first request.
     /// Sessions cache the returned `Arc` and only come back here when
     /// their key changes, so the steady state never touches the lock.
+    ///
+    /// A poisoned registry is recovered, not propagated: a plan is only
+    /// pushed after its build succeeded, so a panic under the lock
+    /// leaves the registry's contents valid, and later sessions on the
+    /// graph must not all fail because one build unwound.
     pub(crate) fn plan_for(
         &self,
         profile: &OpProfile,
@@ -632,7 +637,10 @@ impl SharedGraph {
         format: FormatKind,
         reorder: ReorderKind,
     ) -> Arc<SharedPlan> {
-        let mut plans = self.plans.lock().expect("plan registry poisoned");
+        let mut plans = self
+            .plans
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         if let Some(plan) = plans.iter().find(|p| {
             p.profile == *profile
                 && p.balancing == balancing
@@ -684,6 +692,30 @@ mod tests {
             crate::kernels::formats::bitmap_image_bytes(g.bitmap())
         );
         assert_eq!(a.layout.fmt_bytes, 0);
+    }
+
+    #[test]
+    fn plan_registry_survives_a_panic_under_its_lock() {
+        let g = graph(128, 900);
+        let holder = Arc::clone(&g);
+        let unwound = std::thread::spawn(move || {
+            let _plans = holder.plans.lock().unwrap();
+            panic!("plan build unwound");
+        })
+        .join();
+        assert!(unwound.is_err());
+        assert!(g.plans.is_poisoned());
+        let scalar = OpProfile::scalar();
+        let none = ReorderKind::None;
+        let a = g.plan_for(&scalar, Balancing::NnzBalanced, FormatKind::Coo, none);
+        let b = g.plan_for(&scalar, Balancing::NnzBalanced, FormatKind::Coo, none);
+        assert!(
+            Arc::ptr_eq(&a, &b),
+            "a recovered registry still shares plans"
+        );
+        let cs = g.cache_stats();
+        assert_eq!(cs.plan_builds, 1);
+        assert_eq!(cs.plan_hits, 1);
     }
 
     #[test]

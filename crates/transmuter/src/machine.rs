@@ -782,8 +782,9 @@ impl Machine {
     }
 
     /// Runs a compiled [`Program`]: the pre-decoded twin of
-    /// [`Machine::run`], with identical event-loop semantics and
-    /// bit-for-bit identical cycle counts and statistics.
+    /// [`Machine::run`], with bit-for-bit identical cycle counts and
+    /// statistics (its interpreter retires compute ops without a
+    /// scheduler round trip; see DESIGN.md §9).
     ///
     /// Unlike [`Machine::run`], this path never records traces (compile
     /// once, replay many — callers wanting a trace use the stream-set
@@ -1528,6 +1529,7 @@ mod stress_tests {
 mod program_tests {
     use super::*;
     use crate::op::StreamBuilder;
+    use crate::program::MicroKind;
 
     /// A barrier-heavy workload mixing compute, strided and pseudo-random
     /// global traffic, SPM ops (when `spm`), tile and global barriers —
@@ -1590,11 +1592,11 @@ mod program_tests {
         s
     }
 
-    fn run_all_modes(hw: HwConfig) {
-        let geom = Geometry::new(2, 4);
-        let spm = matches!(hw, HwConfig::Scs | HwConfig::Ps);
-        let streams = workload(geom, spm);
-
+    /// Runs `streams` through the legacy event loop and, compiled,
+    /// through `run_program` in both execution modes: cold, warm, then
+    /// steady state — where a run may be served from the steady-state
+    /// memo. Every report must match the legacy loop's in full.
+    fn assert_program_matches_run(hw: HwConfig, geom: Geometry, streams: &[(usize, Vec<Op>)]) {
         let prog = Program::compile(
             geom,
             hw,
@@ -1607,22 +1609,18 @@ mod program_tests {
             let mut m = Machine::new(geom, MicroArch::paper());
             m.reconfigure(hw);
             m.set_exec_mode(mode);
-            // Four runs: cold, warm, then steady state — where a run may
-            // be served from the steady-state memo. Every one must match
-            // the legacy event loop bit for bit.
             for run in 0..4 {
-                let want = legacy.run(stream_set(geom, &streams)).unwrap();
+                let want = legacy.run(stream_set(geom, streams)).unwrap();
                 let got = m.run_program(&prog).unwrap();
-                assert_eq!(
-                    got.cycles, want.cycles,
-                    "{hw:?} {mode:?} run {run} cycle drift"
-                );
-                assert_eq!(
-                    got.stats, want.stats,
-                    "{hw:?} {mode:?} run {run} stats drift"
-                );
+                assert_eq!(got, want, "{hw:?} {mode:?} run {run} drift");
             }
         }
+    }
+
+    fn run_all_modes(hw: HwConfig) {
+        let geom = Geometry::new(2, 4);
+        let spm = matches!(hw, HwConfig::Scs | HwConfig::Ps);
+        assert_program_matches_run(hw, geom, &workload(geom, spm));
     }
 
     #[test]
@@ -1643,6 +1641,176 @@ mod program_tests {
     #[test]
     fn program_matches_run_ps() {
         run_all_modes(HwConfig::Ps);
+    }
+
+    /// Multi-epoch streams built to exercise compute retirement: every
+    /// memory kind (and SPM access, when `spm`) is directly followed by
+    /// a compute burst, compute chains of up to three ops, compute right
+    /// before each tile and global barrier, and compute as each
+    /// stream's last op. LCPs interleave direct loads/stores with
+    /// compute the same way.
+    fn retirement_mix(geom: Geometry, spm: bool) -> Vec<(usize, Vec<Op>)> {
+        let mut streams = Vec::new();
+        for tile in 0..geom.tiles() {
+            for pe in 0..geom.pes_per_tile() {
+                let w = geom.pe_id(tile, pe);
+                let mut b = StreamBuilder::new();
+                let mut z = (w as u64 + 7) * 0x2545_f491;
+                for phase in 0..3u64 {
+                    for i in 0..24u64 {
+                        z ^= z << 13;
+                        z ^= z >> 7;
+                        z ^= z << 17;
+                        let k = (z % 5) as u32 + 1;
+                        let addr = phase * 0x10_0000 + (z % 1024) * 64 + i * 4;
+                        match (z >> 8) % 6 {
+                            0 => b.load(addr).compute(k),
+                            1 => b.store(addr).compute(k),
+                            2 if spm => b.spm_load((z % 256) as u32 * 4).compute(k),
+                            3 if spm => b.spm_store((z % 256) as u32 * 4).compute(k),
+                            4 => b.compute(1).compute(2).compute(k),
+                            _ => b.load(addr).store(addr + 64),
+                        };
+                    }
+                    b.compute(2).tile_barrier();
+                    if phase < 2 {
+                        b.compute(3).global_barrier();
+                    }
+                }
+                b.compute(4);
+                streams.push((w, b.into_stream().collect()));
+            }
+            let mut lcp = StreamBuilder::new();
+            for phase in 0..3u64 {
+                let base = 0xC0_0000 + tile as u64 * 0x1000 + phase * 64;
+                lcp.load(base).compute(2).compute(1);
+                lcp.store(base + 0x8000).compute(3);
+                if phase < 2 {
+                    lcp.global_barrier();
+                }
+            }
+            lcp.compute(2);
+            streams.push((geom.lcp_id(tile), lcp.into_stream().collect()));
+        }
+        streams
+    }
+
+    /// Barrier-free edge cases: empty streams, compute-only streams, a
+    /// lone compute op, memory ops with and without trailing compute,
+    /// and workers with no stream at all.
+    fn retirement_edges(geom: Geometry, spm: bool) -> Vec<(usize, Vec<Op>)> {
+        let mut streams = Vec::new();
+        for tile in 0..geom.tiles() {
+            for pe in 0..geom.pes_per_tile() {
+                let w = geom.pe_id(tile, pe);
+                let addr = 0x1000 * (w as u64 + 1);
+                let mut b = StreamBuilder::new();
+                match (tile * geom.pes_per_tile() + pe) % 6 {
+                    0 => continue,
+                    1 => {}
+                    2 => {
+                        b.compute(3).compute(1).compute(7);
+                    }
+                    3 => {
+                        b.compute(5);
+                    }
+                    4 => {
+                        b.load(addr)
+                            .compute(2)
+                            .store(addr)
+                            .compute(1)
+                            .load(addr + 64);
+                    }
+                    _ if spm => {
+                        b.spm_store(64)
+                            .compute(1)
+                            .spm_load(64)
+                            .compute(4)
+                            .compute(1);
+                    }
+                    _ => {
+                        b.store(addr).compute(1).compute(1);
+                    }
+                }
+                streams.push((w, b.into_stream().collect()));
+            }
+            let mut lcp = StreamBuilder::new();
+            if tile == 0 {
+                lcp.compute(9);
+            } else {
+                lcp.load(0xE0_0000).compute(2).store(0xE0_0040);
+            }
+            streams.push((geom.lcp_id(tile), lcp.into_stream().collect()));
+        }
+        streams
+    }
+
+    /// Adjacent `(kind, next kind)` pairs within `prog`'s lanes, plus
+    /// whether some lane ends on a compute op.
+    fn adjacent_kinds(prog: &Program) -> (Vec<(MicroKind, MicroKind)>, bool) {
+        let ops = prog.micro_ops();
+        let mut pairs = Vec::new();
+        let mut ends_on_compute = false;
+        for lane in prog.lanes(0) {
+            let lane_ops = &ops[lane.pos as usize..lane.end as usize];
+            for w in lane_ops.windows(2) {
+                if !pairs.contains(&(w[0].kind, w[1].kind)) {
+                    pairs.push((w[0].kind, w[1].kind));
+                }
+            }
+            ends_on_compute |= lane_ops
+                .last()
+                .is_some_and(|o| o.kind == MicroKind::Compute);
+        }
+        (pairs, ends_on_compute)
+    }
+
+    /// Retiring compute ops inline must not change any observable
+    /// outcome: the whole report (cycles, seconds, every counter
+    /// including `ops` and `compute_cycles`, energy) equals the legacy
+    /// event loop's, in both execution modes, cold and warm.
+    #[test]
+    fn compute_retirement_matches_run() {
+        use MicroKind::*;
+        let geom = Geometry::new(2, 4);
+        for hw in [HwConfig::Sc, HwConfig::Scs, HwConfig::Pc, HwConfig::Ps] {
+            let spm = matches!(hw, HwConfig::Scs | HwConfig::Ps);
+            let mix = retirement_mix(geom, spm);
+            let (pairs, ends_on_compute) = adjacent_kinds(&Program::compile(
+                geom,
+                hw,
+                &MicroArch::paper(),
+                mix.iter().map(|(w, v)| (*w, v.as_slice())),
+            ));
+            let expected: &[MicroKind] = match hw {
+                HwConfig::Sc => &[SharedLoad, SharedStore, SharedDirLoad, SharedDirStore],
+                HwConfig::Scs => &[
+                    SharedLoad,
+                    SharedStore,
+                    SharedDirLoad,
+                    SharedDirStore,
+                    SpmShared,
+                ],
+                HwConfig::Pc => &[PrivLoad, PrivStore, DirLcpLoad, DirLcpStore],
+                HwConfig::Ps => &[DirPeLoad, DirPeStore, DirLcpLoad, DirLcpStore, SpmPrivate],
+            };
+            for &k in expected.iter().chain(&[Compute]) {
+                assert!(
+                    pairs.contains(&(k, Compute)),
+                    "{hw:?}: no compute after {k:?}"
+                );
+            }
+            for k in [TileBarrier, GlobalBarrier] {
+                assert!(
+                    pairs.contains(&(Compute, k)),
+                    "{hw:?}: no compute before {k:?}"
+                );
+            }
+            assert!(ends_on_compute, "{hw:?}: no stream ends on compute");
+
+            assert_program_matches_run(hw, geom, &mix);
+            assert_program_matches_run(hw, geom, &retirement_edges(geom, spm));
+        }
     }
 
     /// A working set small enough to be fully resident: the bank state
