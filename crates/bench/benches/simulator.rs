@@ -9,9 +9,7 @@ use std::hint::black_box;
 
 use bench::run_spmv_fixed;
 use cosparse::SwConfig;
-use transmuter::{
-    ExecMode, Geometry, HwConfig, Machine, MicroArch, Op, Program, StreamBuilder, StreamSet,
-};
+use transmuter::{Geometry, HwConfig, Machine, MicroArch, Op, Program, StreamBuilder, StreamSet};
 
 fn bench_event_loop(c: &mut Criterion) {
     let g = Geometry::new(4, 8);
@@ -118,7 +116,6 @@ fn bench_program(c: &mut Criterion) {
                 || {
                     let mut m = Machine::new(g, MicroArch::paper());
                     m.reconfigure(hw);
-                    m.set_exec_mode(ExecMode::Sequential);
                     m
                 },
                 |mut m| black_box(m.run_program(&prog).unwrap()),

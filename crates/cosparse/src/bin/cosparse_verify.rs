@@ -14,10 +14,11 @@
 //! pipeline.
 //!
 //! With `--explain`, each combination additionally prints the static
-//! epoch-dependence analyzer's verdict (epochs proven replay-free
-//! versus dynamically checked) and, when parallel execution is denied,
-//! the first blocking interference witness — which epoch's tiles
-//! interfere, and on what address.
+//! epoch-dependence analyzer's verdict (epochs proven free of
+//! cross-tile interference versus needing a dynamic check) and, when
+//! some epoch is not proven, the first blocking interference witness —
+//! which epoch's tiles interfere, and on what address. The verdicts are
+//! reported only; the machine executes every program sequentially.
 //!
 //! ```text
 //! cosparse-verify [--tiles A] [--pes B] [--n N] [--nnz M]
@@ -174,8 +175,8 @@ fn check_combo(matrix: &CooMatrix, sw: SwConfig, hw: HwConfig, opts: &Opts) -> b
 }
 
 /// Prints the analyzer verdict of the combo's last executed program:
-/// the per-epoch commit tally and, when replay-free parallel commit was
-/// denied for some epoch, the first blocking interference witness.
+/// the per-epoch commit tally and, when some epoch is not proven, the
+/// first blocking interference witness.
 fn explain_analysis(rt: &CoSparse) {
     let Some(a) = rt.last_analysis() else {
         println!("    analyzer: no compiled program executed");

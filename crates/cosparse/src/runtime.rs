@@ -199,7 +199,8 @@ fn sw_index(sw: SwConfig) -> usize {
 /// served from a cached artifact. The build/hit counter pairs live on
 /// the session's [`SharedGraph`] and are summed over *every* session
 /// sharing it (for a privately-built runtime they are simply its own);
-/// `steady_memo`/`epochs` are this session's machine verdicts.
+/// `steady_memo` is this session's machine memo; `epochs` always reads
+/// zero.
 ///
 /// `plan_builds`/`plan_hits` count plan registry builds versus reuses;
 /// `dense_program_builds`/`dense_program_hits` count dense-IP programs
@@ -226,9 +227,9 @@ pub struct CacheStats {
     pub conversion_builds: u64,
     /// The machine's steady-state memo counters.
     pub steady_memo: MemoStats,
-    /// The machine's epoch-commit counters: epochs committed replay-free
-    /// on a static `Proven` verdict, epochs dynamically replayed, and
-    /// replays rolled back to sequential (see [`EpochStats`]).
+    /// Epoch-commit counters of the former epoch-parallel core. The
+    /// machine executes every program sequentially, so these always
+    /// read zero (see [`EpochStats`]).
     pub epochs: EpochStats,
     /// Host-backend steps that ran the row-scanning [`Walk::Pull`],
     /// summed over all sessions.
@@ -359,7 +360,7 @@ impl CoSparse {
     /// Pipeline cache counters: the shared graph's build/hit pairs
     /// (summed over every session on the graph — a privately-built
     /// runtime's own history) merged with this session machine's
-    /// steady-state memo and epoch verdicts.
+    /// steady-state memo counters.
     pub fn cache_stats(&self) -> CacheStats {
         let shared = self.shared.cache_stats();
         CacheStats {
@@ -371,7 +372,7 @@ impl CoSparse {
             scratch_program_hits: shared.scratch_program_hits,
             conversion_builds: shared.conversion_builds,
             steady_memo: self.machine.memo_stats(),
-            epochs: self.machine.epoch_stats(),
+            epochs: EpochStats::default(),
             host_pull_steps: shared.host_pull_steps,
             host_push_steps: shared.host_push_steps,
         }
@@ -402,8 +403,7 @@ impl CoSparse {
 
     /// Extends the epoch-dependence analysis to one-shot program builds
     /// (conversions and frontier-dependent scratch programs). Off by
-    /// default: those programs execute exactly once, so the machine
-    /// gains nothing from a static verdict it can only use on repeats,
+    /// default: the verdict is reported only, never used to execute,
     /// while the analysis itself sorts every access the program makes —
     /// a measurable host-time cost in iteration-heavy runs. Plan-cached
     /// dense programs are always analyzed. Turn this on to get

@@ -17,7 +17,9 @@ use std::path::Path;
 ///
 /// # Errors
 ///
-/// Returns [`SparseError::Parse`] for malformed content,
+/// Returns [`SparseError::Parse`] for malformed content (including a
+/// declared dimension or an entry index that does not fit [`Idx`], and
+/// an entry count that differs from the declared one),
 /// [`SparseError::Io`] for IO failures, and index errors if entries
 /// exceed the declared shape.
 ///
@@ -119,8 +121,21 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CooMatrix> {
         };
         break (parse(parts[0])?, parse(parts[1])?, parse(parts[2])?);
     };
+    for (what, dim) in [("row", rows), ("column", cols)] {
+        if Idx::try_from(dim).is_err() {
+            return Err(SparseError::Parse {
+                line: line_no,
+                message: format!(
+                    "{what} count {dim} exceeds the index range (max {})",
+                    Idx::MAX
+                ),
+            });
+        }
+    }
 
-    let mut triplets: Vec<(Idx, Idx, f32)> = Vec::with_capacity(nnz);
+    // Not pre-sized from the declared count: the size line is untrusted,
+    // and a mismatch is reported once the entries have been counted.
+    let mut triplets: Vec<(Idx, Idx, f32)> = Vec::new();
     let mut seen = 0usize;
     for line in lines {
         line_no += 1;
@@ -159,7 +174,13 @@ pub fn read_matrix_market<R: Read>(reader: R) -> Result<CooMatrix> {
                 message: format!("invalid value {:?}", parts[2]),
             })?
         };
-        let (r, c) = ((r - 1) as Idx, (c - 1) as Idx);
+        let to_idx = |i: usize, what: &str| -> Result<Idx> {
+            Idx::try_from(i - 1).map_err(|_| SparseError::Parse {
+                line: line_no,
+                message: format!("{what} index {i} exceeds the index range"),
+            })
+        };
+        let (r, c) = (to_idx(r, "row")?, to_idx(c, "column")?);
         triplets.push((r, c, v));
         if symmetric && r != c {
             triplets.push((c, r, v));
@@ -248,8 +269,42 @@ mod tests {
 
     #[test]
     fn wrong_count_detected() {
-        let text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n";
-        assert!(read_matrix_market(text.as_bytes()).is_err());
+        // A huge declared count must be reported, not used to size an
+        // allocation.
+        for count in ["2", "99999999999999999"] {
+            let text =
+                format!("%%MatrixMarket matrix coordinate real general\n2 2 {count}\n1 1 1.0\n");
+            match read_matrix_market(text.as_bytes()) {
+                Err(SparseError::Parse { line, message }) => {
+                    assert_eq!(line, 3);
+                    assert!(message.contains("declared"), "{message}");
+                }
+                other => panic!("{count}: expected parse error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn indices_and_dimensions_beyond_idx_rejected() {
+        // Row 4294967297 would wrap to row 0 if cast to u32.
+        let text = "%%MatrixMarket matrix coordinate real general\n2 2 1\n4294967297 1 1.0\n";
+        match read_matrix_market(text.as_bytes()) {
+            Err(SparseError::Parse { line, .. }) => assert_eq!(line, 3),
+            other => panic!("expected parse error, got {other:?}"),
+        }
+        for size in ["4294967296 2 0", "2 4294967296 0"] {
+            let text = format!("%%MatrixMarket matrix coordinate real general\n{size}\n");
+            match read_matrix_market(text.as_bytes()) {
+                Err(SparseError::Parse { line, .. }) => assert_eq!(line, 2),
+                other => panic!("{size}: expected parse error, got {other:?}"),
+            }
+        }
+        // The largest representable shape is still accepted.
+        let text =
+            "%%MatrixMarket matrix coordinate real general\n4294967295 2 1\n4294967295 2 1.0\n";
+        let m = read_matrix_market(text.as_bytes()).unwrap();
+        assert_eq!(m.rows(), Idx::MAX as usize);
+        assert_eq!(m.iter().next(), Some((Idx::MAX - 1, 1, 1.0)));
     }
 
     #[test]
@@ -281,7 +336,8 @@ mod tests {
 ///
 /// # Errors
 ///
-/// Returns [`SparseError::Parse`] for malformed lines and
+/// Returns [`SparseError::Parse`] for malformed lines (including a
+/// vertex id whose vertex count, id + 1, does not fit [`Idx`]) and
 /// [`SparseError::Io`] for IO failures.
 ///
 /// # Examples
@@ -297,7 +353,7 @@ mod tests {
 /// ```
 pub fn read_edge_list<R: Read>(reader: R, min_vertices: usize) -> Result<CooMatrix> {
     let mut triplets: Vec<(Idx, Idx, f32)> = Vec::new();
-    let mut max_v = 0usize;
+    let mut max_v: Idx = 0;
     for (i, line) in BufReader::new(reader).lines().enumerate() {
         let line_no = i + 1;
         let line = line?;
@@ -306,16 +362,28 @@ pub fn read_edge_list<R: Read>(reader: R, min_vertices: usize) -> Result<CooMatr
             continue;
         }
         let mut parts = trimmed.split_whitespace();
-        let parse_v = |tok: Option<&str>| -> Result<usize> {
-            tok.ok_or(SparseError::Parse {
-                line: line_no,
-                message: "edge line needs `src dst [weight]`".to_string(),
-            })?
-            .parse()
-            .map_err(|_| SparseError::Parse {
-                line: line_no,
-                message: "invalid vertex id".to_string(),
-            })
+        let parse_v = |tok: Option<&str>| -> Result<Idx> {
+            let v: usize = tok
+                .ok_or(SparseError::Parse {
+                    line: line_no,
+                    message: "edge line needs `src dst [weight]`".to_string(),
+                })?
+                .parse()
+                .map_err(|_| SparseError::Parse {
+                    line: line_no,
+                    message: "invalid vertex id".to_string(),
+                })?;
+            // The vertex count (max id + 1) must fit `Idx` as well.
+            match Idx::try_from(v) {
+                Ok(v) if v < Idx::MAX => Ok(v),
+                _ => Err(SparseError::Parse {
+                    line: line_no,
+                    message: format!(
+                        "vertex id {v} exceeds the index range (max {})",
+                        Idx::MAX - 1
+                    ),
+                }),
+            }
         };
         let src = parse_v(parts.next())?;
         let dst = parse_v(parts.next())?;
@@ -327,12 +395,12 @@ pub fn read_edge_list<R: Read>(reader: R, min_vertices: usize) -> Result<CooMatr
             None => 1.0,
         };
         max_v = max_v.max(src).max(dst);
-        triplets.push((src as Idx, dst as Idx, weight));
+        triplets.push((src, dst, weight));
     }
     let n = if triplets.is_empty() {
         min_vertices
     } else {
-        (max_v + 1).max(min_vertices)
+        (max_v as usize + 1).max(min_vertices)
     };
     CooMatrix::from_triplets(n, n, triplets)
 }
@@ -382,6 +450,19 @@ mod edge_list_tests {
         }
         assert!(read_edge_list("0\n".as_bytes(), 0).is_err());
         assert!(read_edge_list("0 1 notaweight\n".as_bytes(), 0).is_err());
+    }
+
+    #[test]
+    fn vertex_ids_beyond_idx_rejected() {
+        // 4294967296 would wrap to vertex 0 if cast to u32.
+        for text in ["4294967296 1\n", "0 4294967296\n", "4294967295 0\n"] {
+            match read_edge_list(text.as_bytes(), 0) {
+                Err(SparseError::Parse { line, .. }) => assert_eq!(line, 1),
+                other => panic!("{text:?}: expected parse error, got {other:?}"),
+            }
+        }
+        let g = read_edge_list("4294967294 0\n".as_bytes(), 0).unwrap();
+        assert_eq!(g.rows(), Idx::MAX as usize);
     }
 
     #[test]

@@ -10,12 +10,10 @@
 //!
 //! 1. a **commit verdict per epoch** ([`ParCommit`]): epochs whose
 //!    tiles are provably disjoint on all shared state are marked
-//!    [`ParCommit::Proven`], which lets
-//!    [`Machine::run_program`](crate::Machine::run_program) commit them
-//!    without the shadow-HBM replay (and extends epoch-parallel
-//!    eligibility to shared-L2 configs whose epochs never share a
-//!    line); everything else stays [`ParCommit::Check`] and keeps the
-//!    bit-exact dynamic replay;
+//!    [`ParCommit::Proven`], everything else [`ParCommit::Check`]. The
+//!    verdicts are reporting-only (`cosparse-verify --explain` prints
+//!    them): the machine executes every program sequentially, so no
+//!    verdict changes how a program runs;
 //! 2. **lints** on the same sets: dead stores (overwritten before any
 //!    read), dead SPM writes (never read back), cross-epoch
 //!    write-write hazards with full provenance (worker, epoch, pc),
@@ -34,7 +32,7 @@
 //! behind each [`ProvenKind`].
 
 use crate::config::{Geometry, HwConfig, L2Mode, MicroArch};
-use crate::program::{congruent, MicroKind, MicroOp, Program};
+use crate::program::{MicroKind, MicroOp, Program};
 use crate::verify::{Diagnostic, LintKind, Severity};
 use std::fmt;
 
@@ -42,15 +40,15 @@ use std::fmt;
 /// counted in [`Analysis::suppressed`].
 const MAX_DIAGS: usize = 32;
 
-/// How [`Machine::run_program`](crate::Machine::run_program) may commit
-/// one epoch of an epoch-parallel run.
+/// Whether one epoch's tiles could run on separate host threads with
+/// timing identical to sequential execution. Reported only (see the
+/// module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ParCommit {
-    /// The epoch is statically proven interference-free: it commits
-    /// without the shadow-HBM replay.
+    /// The epoch is statically proven interference-free.
     Proven(ProvenKind),
-    /// Interference could not be excluded: the epoch keeps the dynamic
-    /// shadow-HBM replay (with sequential rollback on mismatch).
+    /// Interference could not be excluded; only a dynamic check of the
+    /// tiles' HBM traffic could decide.
     Check,
 }
 
@@ -63,8 +61,7 @@ pub enum ProvenKind {
     /// Private-L2 config: the whole-program HBM *channel closures* of
     /// the tiles (demand lines plus every prefetch and writeback line
     /// those demands can reach) are pairwise disjoint, so each channel
-    /// is owned by one tile and the per-tile shadow HBM states merge
-    /// exactly.
+    /// is owned by one tile and per-tile HBM states would merge exactly.
     DisjointChannels,
     /// Shared-L2 config: the HBM line sets the tiles touch in this
     /// epoch are pairwise disjoint.
@@ -115,8 +112,7 @@ impl fmt::Display for Conflict {
 }
 
 /// The analyzer's verdict over one [`Program`], attached next to the
-/// lint verdict and consumed by
-/// [`Machine::run_program`](crate::Machine::run_program).
+/// lint verdict.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Analysis {
     congruent: bool,
@@ -126,7 +122,6 @@ pub struct Analysis {
     suppressed: usize,
     elision_candidates: Vec<u32>,
     conflict_edges: Vec<(u32, u32)>,
-    tile_channel_masks: Vec<u64>,
 }
 
 impl Analysis {
@@ -141,7 +136,6 @@ impl Analysis {
             suppressed: 0,
             elision_candidates: Vec::new(),
             conflict_edges: Vec::new(),
-            tile_channel_masks: Vec::new(),
         }
     }
 
@@ -157,8 +151,8 @@ impl Analysis {
         &self.epochs
     }
 
-    /// True when every epoch is [`ParCommit::Proven`] — the condition
-    /// under which shared-L2 configs become epoch-parallel eligible.
+    /// True when the program is congruent and every epoch is
+    /// [`ParCommit::Proven`].
     pub fn all_proven(&self) -> bool {
         self.congruent
             && !self.epochs.is_empty()
@@ -200,15 +194,6 @@ impl Analysis {
     /// justifies barrier elision.
     pub fn conflict_edges(&self) -> &[(u32, u32)] {
         &self.conflict_edges
-    }
-
-    /// Per-tile HBM channel-closure masks (bit `c` = channel `c`
-    /// reachable), used by the machine to validate a
-    /// [`ProvenKind::DisjointChannels`] commit dynamically against
-    /// stale pre-program writebacks. Empty under shared L2 or when the
-    /// channel count exceeds 64.
-    pub(crate) fn tile_channel_masks(&self) -> &[u64] {
-        &self.tile_channel_masks
     }
 }
 
@@ -683,7 +668,6 @@ pub(crate) fn derive(ctx: &Ctx, arena: &mut [Acc]) -> Analysis {
         suppressed,
         elision_candidates,
         conflict_edges: edges.into_iter().collect(),
-        tile_channel_masks: masks,
     }
 }
 
@@ -716,6 +700,39 @@ fn channel_conflict(masks: &[u64], arena: &[Acc], nch: u64, b: u64) -> Option<Co
         line: witness.line,
         channel: c,
     })
+}
+
+/// Checks epoch congruence: equal global-barrier counts across all
+/// stream-bearing workers, and per tile, identical per-segment
+/// tile-barrier counts across its PE streams. Takes the segment vectors
+/// as a re-iterable view so both [`analyze`] (owned vectors) and
+/// [`ProgramBuilder`](crate::ProgramBuilder) (flat arena) can share it.
+pub(crate) fn congruent<'a, I>(geom: Geometry, segments: I) -> bool
+where
+    I: Iterator<Item = (usize, &'a [u32])> + Clone,
+{
+    let mut gb: Option<usize> = None;
+    for (_, segs) in segments.clone() {
+        let count = segs.len() - 1;
+        if *gb.get_or_insert(count) != count {
+            return false;
+        }
+    }
+    for tile in 0..geom.tiles() {
+        let mut proto: Option<&[u32]> = None;
+        for (w, segs) in segments.clone() {
+            let (t, pe) = geom.locate(w);
+            if t != tile || pe.is_none() {
+                continue;
+            }
+            match proto {
+                None => proto = Some(segs),
+                Some(p) if p == segs => {}
+                Some(_) => return false,
+            }
+        }
+    }
+    true
 }
 
 /// Post-hoc entry point: reconstructs the access arena from a compiled

@@ -12,7 +12,7 @@
 
 use crate::cache::{CacheBank, ProbeResult};
 use crate::config::{Geometry, HwConfig, L1Mode, L2Mode, MicroArch};
-use crate::hbm::{Hbm, HbmSink};
+use crate::hbm::Hbm;
 use crate::op::Addr;
 use crate::stats::SimStats;
 
@@ -243,13 +243,9 @@ impl MemorySystem {
         let completion = match (pe, self.hw.l1()) {
             // LCPs have no L1; they access the L2 level directly, as do
             // PEs in PS mode (their level-1 banks are scratchpad).
-            (None, _) | (Some(_), L1Mode::PrivateSpm) => match self.hw.l2() {
-                L2Mode::SharedCache => self.shared_direct_access(tile, line, is_store, cycle),
-                L2Mode::PrivateCache => {
-                    let (mut t, p) = self.priv_tile(tile);
-                    priv_direct_access(&mut t, &p, pe, line, is_store, cycle)
-                }
-            },
+            (None, _) | (Some(_), L1Mode::PrivateSpm) => {
+                self.direct_access(tile, pe, line, is_store, cycle)
+            }
             (Some(_), L1Mode::SharedCache | L1Mode::SharedCacheSpm) => {
                 // `l1_div` tracks the bank count for the *current* L1
                 // mode (rebuilt alongside the banks on reconfigure).
@@ -258,24 +254,26 @@ impl MemorySystem {
                 self.shared_l1_access(tile, bank, local, line, is_store, cycle)
             }
             (Some(pe), L1Mode::PrivateCache) => {
-                let (mut t, p) = self.priv_tile(tile);
-                priv_l1_access(&mut t, &p, pe, line, is_store, cycle)
+                self.priv_l1_access(tile, pe, line, is_store, cycle)
             }
         };
         completion.max(cycle + 1)
     }
 
-    /// Direct L2 access under a *shared* L2 (LCPs in SC/SCS). The bank
-    /// route ignores the requester, so no PE identity is needed.
-    pub(crate) fn shared_direct_access(
+    /// Direct L2-level access for LCPs (which have no L1) and for PS PEs
+    /// (whose level-1 banks are scratchpad). `pe` is the requesting PE
+    /// (`None` = LCP); only a private L2 routes on it. Stores are
+    /// acknowledged once they cross the crossbar.
+    pub(crate) fn direct_access(
         &mut self,
         tile: usize,
+        pe: Option<usize>,
         line: u64,
         is_store: bool,
         cycle: u64,
     ) -> u64 {
         let at = cycle + self.ua.xbar_latency;
-        let done = self.l2_fill(tile, None, line, is_store, at);
+        let done = self.l2_fill(tile, pe, line, is_store, at);
         if is_store {
             cycle + self.ua.xbar_latency + 1
         } else {
@@ -321,8 +319,9 @@ impl MemorySystem {
             ProbeResult::Miss {
                 victim_dirty,
                 victim_line,
-            } => self.shared_l1_miss(
+            } => self.l1_miss(
                 tile,
+                None,
                 bank,
                 line,
                 nbanks,
@@ -351,12 +350,68 @@ impl MemorySystem {
         completion
     }
 
-    /// Shared-L1 miss slow path, outlined so the hit loop stays compact.
-    #[cold]
-    #[allow(clippy::too_many_arguments)]
-    fn shared_l1_miss(
+    /// Private-L1 access for PE `pe` (PC mode): bank `pe`, full line
+    /// space locally, single-cycle base latency, no arbitration.
+    pub(crate) fn priv_l1_access(
         &mut self,
         tile: usize,
+        pe: usize,
+        line: u64,
+        is_store: bool,
+        cycle: u64,
+    ) -> u64 {
+        let nbanks = self.l1_div.n;
+        let local = line;
+        let at = cycle + self.ua.l1_latency;
+        let bidx = tile * self.l1_banks + pe;
+        let prefetch = self.ua.prefetch;
+        let bank_ref = &mut self.l1[bidx];
+        let probe = bank_ref.access(local, is_store);
+        let stride = prefetch && bank_ref.stride_detected(local);
+        let pf_wanted = stride && !bank_ref.contains(local + 1);
+        let completion = match probe {
+            ProbeResult::Hit => {
+                self.stats.l1_hits += 1;
+                at
+            }
+            ProbeResult::Miss {
+                victim_dirty,
+                victim_line,
+            } => self.l1_miss(
+                tile,
+                Some(pe),
+                pe,
+                line,
+                nbanks,
+                victim_dirty,
+                victim_line,
+                is_store,
+                at,
+            ),
+        };
+        if pf_wanted {
+            let pf_local = local + 1;
+            let pf_global = pf_local * nbanks + pe as u64;
+            // Asynchronous: charge the L2-side traffic, don't extend the
+            // demand access.
+            let _ = self.l2_fill(tile, Some(pe), pf_global, false, at);
+            self.stats.prefetches += 1;
+            if let Some(dirty_local) = self.l1[bidx].install(pf_local) {
+                self.l2_writeback(tile, Some(pe), dirty_local * nbanks + pe as u64, at);
+            }
+        }
+        completion
+    }
+
+    /// L1 miss slow path (shared and private L1), outlined so the hit
+    /// loops stay compact. `pe` is the requester the L2 routes on
+    /// (`None` under a shared L2, whose route ignores it).
+    #[cold]
+    #[allow(clippy::too_many_arguments)]
+    fn l1_miss(
+        &mut self,
+        tile: usize,
+        pe: Option<usize>,
         bank: usize,
         line: u64,
         nbanks: u64,
@@ -368,9 +423,9 @@ impl MemorySystem {
         self.stats.l1_misses += 1;
         if victim_dirty {
             let victim_global = victim_line.expect("dirty implies valid") * nbanks + bank as u64;
-            self.l2_writeback(tile, None, victim_global, at);
+            self.l2_writeback(tile, pe, victim_global, at);
         }
-        let fill_done = self.l2_fill(tile, None, line, false, at);
+        let fill_done = self.l2_fill(tile, pe, line, false, at);
         if is_store {
             at + 1
         } else {
@@ -526,89 +581,8 @@ impl MemorySystem {
         cycle + self.ua.xbar_latency + self.ua.arbitration_latency + conflicts + self.ua.l1_latency
     }
 
-    /// Parameter block for the private-hierarchy access paths (PC/PS):
-    /// everything those paths read from the memory system besides the
-    /// tile's own banks, so they can run against either the real system
-    /// or a per-tile split (see [`MemorySystem::split_tiles`]).
-    pub(crate) fn priv_params(&self) -> PrivParams {
-        PrivParams {
-            xbar: self.ua.xbar_latency,
-            l1_latency: self.ua.l1_latency,
-            l2_latency: self.ua.l2_latency,
-            prefetch: self.ua.prefetch,
-            l1_nbanks: self.l1_div.n,
-            b_div: self.b_div,
-        }
-    }
-
-    /// Mutable view of one tile's private banks plus the HBM and stats.
-    pub(crate) fn priv_tile(&mut self, tile: usize) -> (PrivTile<'_, Hbm>, PrivParams) {
-        let p = self.priv_params();
-        let l1_lo = tile * self.l1_banks;
-        let l2_lo = tile * self.l2_banks;
-        (
-            PrivTile {
-                l1: &mut self.l1[l1_lo..l1_lo + self.l1_banks],
-                l2: &mut self.l2[l2_lo..l2_lo + self.l2_banks],
-                hbm: &mut self.hbm,
-                stats: &mut self.stats,
-            },
-            p,
-        )
-    }
-
-    /// Private-L1 access (PC) routed through [`priv_l1_access`] — the
-    /// same code path the epoch-parallel tile core executes.
-    pub(crate) fn priv_l1(
-        &mut self,
-        tile: usize,
-        pe: usize,
-        line: u64,
-        is_store: bool,
-        cycle: u64,
-    ) -> u64 {
-        let (mut t, p) = self.priv_tile(tile);
-        priv_l1_access(&mut t, &p, pe, line, is_store, cycle)
-    }
-
-    /// Direct private-L2 access (PS PEs, or LCPs under PC/PS).
-    pub(crate) fn priv_direct(
-        &mut self,
-        tile: usize,
-        pe: Option<usize>,
-        line: u64,
-        is_store: bool,
-        cycle: u64,
-    ) -> u64 {
-        let (mut t, p) = self.priv_tile(tile);
-        priv_direct_access(&mut t, &p, pe, line, is_store, cycle)
-    }
-
-    /// Splits the memory system into independent per-tile views (L1 and
-    /// L2 bank slices) plus the shared HBM, run stats and parameters.
-    /// Only meaningful under PC/PS, where tiles share no bank and no
-    /// arbitrated port — HBM is the sole cross-tile coupling.
-    pub(crate) fn split_tiles(&mut self) -> TileSplit<'_> {
-        let tiles = self.geom.tiles();
-        let params = self.priv_params();
-        let l1: Vec<&mut [CacheBank]> = if self.l1_banks == 0 {
-            (0..tiles).map(|_| Default::default()).collect()
-        } else {
-            self.l1.chunks_mut(self.l1_banks).collect()
-        };
-        let l2: Vec<&mut [CacheBank]> = self.l2.chunks_mut(self.l2_banks).collect();
-        TileSplit {
-            l1,
-            l2,
-            hbm: &mut self.hbm,
-            params,
-        }
-    }
-
-    /// Snapshot of every mutable structure the private-path accesses can
-    /// touch (bank contents + HBM), for epoch rollback on replay
-    /// mismatch. Claim ports are untouched under PC/PS and run stats are
-    /// merged only on commit, so neither needs saving.
+    /// Snapshot of the bank contents and the HBM stack: the post-run
+    /// state the steady-state memo reinstates on a hit.
     pub(crate) fn snapshot(&self) -> MemSnapshot {
         MemSnapshot {
             l1: self.l1.clone(),
@@ -622,11 +596,6 @@ impl MemorySystem {
         self.l1.clone_from(&snap.l1);
         self.l2.clone_from(&snap.l2);
         self.hbm = snap.hbm.clone();
-    }
-
-    /// Mutable access to the HBM stack (epoch replay).
-    pub(crate) fn hbm_mut(&mut self) -> &mut Hbm {
-        &mut self.hbm
     }
 
     /// Clones the bank state (L1 + L2) for the steady-state memo. The
@@ -693,234 +662,12 @@ impl MemorySystem {
     }
 }
 
-/// Copy of the microarchitectural parameters the private access paths
-/// need, detached from `&MemorySystem` so per-tile splits can carry it.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PrivParams {
-    pub(crate) xbar: u64,
-    pub(crate) l1_latency: u64,
-    pub(crate) l2_latency: u64,
-    pub(crate) prefetch: bool,
-    /// L1 bank count in the current mode (`l1_div.n`; `B` under PC).
-    pub(crate) l1_nbanks: u64,
-    /// Divisor for PEs per tile (LCP round-robin over private L2 banks).
-    pub(crate) b_div: FastDiv,
-}
-
-/// One tile's mutable memory state for the private-hierarchy paths:
-/// its L1 banks (empty under PS), its L2 banks, an HBM sink and a stats
-/// block. `H` is the real [`Hbm`] in sequential execution and a logging
-/// shadow in the epoch-parallel core.
-#[derive(Debug)]
-pub(crate) struct PrivTile<'a, H> {
-    pub(crate) l1: &'a mut [CacheBank],
-    pub(crate) l2: &'a mut [CacheBank],
-    pub(crate) hbm: &'a mut H,
-    pub(crate) stats: &'a mut SimStats,
-}
-
-/// Independent per-tile views of the whole memory system (PC/PS only).
-#[derive(Debug)]
-pub(crate) struct TileSplit<'a> {
-    pub(crate) l1: Vec<&'a mut [CacheBank]>,
-    pub(crate) l2: Vec<&'a mut [CacheBank]>,
-    pub(crate) hbm: &'a mut Hbm,
-    pub(crate) params: PrivParams,
-}
-
-/// Bank/HBM snapshot for epoch rollback.
+/// Bank/HBM snapshot taken by [`MemorySystem::snapshot`].
 #[derive(Debug)]
 pub(crate) struct MemSnapshot {
     l1: Vec<CacheBank>,
     l2: Vec<CacheBank>,
     hbm: Hbm,
-}
-
-/// Private-L2 bank selection within a tile: `(bank, local_line, nbanks)`.
-/// A PE owns bank `pe` outright (full line space, transparent crossbar);
-/// the LCP round-robins over the tile's banks.
-#[inline]
-pub(crate) fn priv_route(p: &PrivParams, pe: Option<usize>, line: u64) -> (usize, u64, u64) {
-    match pe {
-        Some(pe) => (pe, line, 1),
-        None => (p.b_div.rem(line) as usize, p.b_div.div(line), p.b_div.n),
-    }
-}
-
-/// Direct private-L2 access: PS PEs (no L1 cache level) and LCPs under
-/// PC/PS. Mirrors the store-ack convention of
-/// [`MemorySystem::shared_direct_access`].
-pub(crate) fn priv_direct_access<H: HbmSink>(
-    t: &mut PrivTile<'_, H>,
-    p: &PrivParams,
-    pe: Option<usize>,
-    line: u64,
-    is_store: bool,
-    cycle: u64,
-) -> u64 {
-    let at = cycle + p.xbar;
-    let done = priv_l2_fill(t, p, pe, line, is_store, at);
-    if is_store {
-        cycle + p.xbar + 1
-    } else {
-        done
-    }
-}
-
-/// Fills `line` in the tile's private L2 (no arbitration, no claims —
-/// the transparent crossbar has no shared port to conflict on).
-pub(crate) fn priv_l2_fill<H: HbmSink>(
-    t: &mut PrivTile<'_, H>,
-    p: &PrivParams,
-    pe: Option<usize>,
-    line: u64,
-    is_store: bool,
-    at: u64,
-) -> u64 {
-    let (bank, local, nbanks) = priv_route(p, pe, line);
-    let lat = p.xbar + p.l2_latency;
-    let bank_ref = &mut t.l2[bank];
-    let probe = bank_ref.access(local, is_store);
-    // Tagged stride prefetcher on the L2 banks as well: sequential
-    // access streams (hit or miss) keep pulling the next line from
-    // main memory.
-    let stride = p.prefetch && bank_ref.stride_detected(local);
-    let pf_wanted = stride && !bank_ref.contains(local + 1);
-    let completion = match probe {
-        ProbeResult::Hit => {
-            t.stats.l2_hits += 1;
-            at + lat
-        }
-        ProbeResult::Miss {
-            victim_dirty,
-            victim_line,
-        } => {
-            t.stats.l2_misses += 1;
-            if victim_dirty {
-                let victim_global =
-                    victim_line.expect("dirty implies valid") * nbanks + (line % nbanks);
-                // Writebacks consume HBM bandwidth off the critical path.
-                let _ = t.hbm.write(victim_global, at + lat);
-            }
-            let done = t.hbm.read(line, at + lat);
-            done + p.xbar
-        }
-    };
-    if pf_wanted {
-        let pf_local = local + 1;
-        let pf_global = pf_local * nbanks + (line % nbanks);
-        let _ = t.hbm.prefetch(pf_global, at + lat);
-        t.stats.prefetches += 1;
-        if let Some(dirty_local) = t.l2[bank].install(pf_local) {
-            let _ = t
-                .hbm
-                .write(dirty_local * nbanks + (line % nbanks), at + lat);
-        }
-    }
-    completion
-}
-
-/// Installs an L1 dirty victim into the tile's private L2.
-pub(crate) fn priv_l2_writeback<H: HbmSink>(
-    t: &mut PrivTile<'_, H>,
-    p: &PrivParams,
-    pe: Option<usize>,
-    line: u64,
-    at: u64,
-) {
-    let (bank, local, nbanks) = priv_route(p, pe, line);
-    t.stats.l2_writeback_installs += 1;
-    // A full-line writeback needs no fetch: install directly, dirty.
-    if let Some(dirty_local) = t.l2[bank].install(local) {
-        let _ = t.hbm.write(dirty_local * nbanks + (line % nbanks), at);
-    }
-    // Mark dirty via a store probe (guaranteed hit after install;
-    // only bank-internal counters are touched, not run stats).
-    let _ = t.l2[bank].access(local, true);
-}
-
-/// Private-L1 access for PE `pe` (PC mode): bank `pe`, full line space
-/// locally, single-cycle base latency, no arbitration.
-pub(crate) fn priv_l1_access<H: HbmSink>(
-    t: &mut PrivTile<'_, H>,
-    p: &PrivParams,
-    pe: usize,
-    line: u64,
-    is_store: bool,
-    cycle: u64,
-) -> u64 {
-    let nbanks = p.l1_nbanks;
-    let local = line;
-    let base_lat = p.l1_latency;
-    let bank_ref = &mut t.l1[pe];
-    let probe = bank_ref.access(local, is_store);
-    let stride = p.prefetch && bank_ref.stride_detected(local);
-    let pf_wanted = stride && !bank_ref.contains(local + 1);
-    let completion = match probe {
-        ProbeResult::Hit => {
-            t.stats.l1_hits += 1;
-            cycle + base_lat
-        }
-        ProbeResult::Miss {
-            victim_dirty,
-            victim_line,
-        } => priv_l1_miss(
-            t,
-            p,
-            pe,
-            line,
-            nbanks,
-            victim_dirty,
-            victim_line,
-            is_store,
-            cycle + base_lat,
-        ),
-    };
-    if pf_wanted {
-        let pf_local = local + 1;
-        let pf_global = pf_local * nbanks + pe as u64;
-        // Asynchronous: charge the L2-side traffic, don't extend the
-        // demand access.
-        let _ = priv_l2_fill(t, p, Some(pe), pf_global, false, cycle + base_lat);
-        t.stats.prefetches += 1;
-        if let Some(dirty_local) = t.l1[pe].install(pf_local) {
-            priv_l2_writeback(
-                t,
-                p,
-                Some(pe),
-                dirty_local * nbanks + pe as u64,
-                cycle + base_lat,
-            );
-        }
-    }
-    completion
-}
-
-/// Private-L1 miss slow path, outlined so the hit loop stays compact.
-#[cold]
-#[allow(clippy::too_many_arguments)]
-fn priv_l1_miss<H: HbmSink>(
-    t: &mut PrivTile<'_, H>,
-    p: &PrivParams,
-    pe: usize,
-    line: u64,
-    nbanks: u64,
-    victim_dirty: bool,
-    victim_line: Option<u64>,
-    is_store: bool,
-    at: u64,
-) -> u64 {
-    t.stats.l1_misses += 1;
-    if victim_dirty {
-        let victim_global = victim_line.expect("dirty implies valid") * nbanks + pe as u64;
-        priv_l2_writeback(t, p, Some(pe), victim_global, at);
-    }
-    let fill_done = priv_l2_fill(t, p, Some(pe), line, false, at);
-    if is_store {
-        at + 1
-    } else {
-        fill_done
-    }
 }
 
 #[cfg(test)]

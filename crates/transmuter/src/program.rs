@@ -16,23 +16,15 @@
 //! reproduces [`crate::Machine::run`]'s exact error or panic at the
 //! exact same point in the schedule.
 //!
-//! Lowering also segments the program by its global barriers and
-//! decides whether the *epoch-parallel* execution core may run it:
-//! under a private L2 ([`L2Mode::PrivateCache`]) tiles share no bank
-//! and no arbitrated port, so between two global barriers each tile
-//! can execute on its own host thread against a shadow HBM, with the
-//! real HBM replayed and validated afterwards (DESIGN.md §9).
+//! Every compiled program also carries the static epoch-dependence
+//! verdict of [`crate::analyze`], which is reported (not acted on): the
+//! machine executes every program sequentially (DESIGN.md §9, §11).
 
 use crate::analyze::{self, Analysis};
-use crate::cache::CacheBank;
 use crate::config::{Geometry, HwConfig, L1Mode, L2Mode, MicroArch};
-use crate::hbm::{Hbm, HbmSink};
 use crate::machine::{release, BarrierState, Sched, SimError};
-use crate::memsys::{
-    priv_direct_access, priv_l1_access, FastDiv, MemorySystem, PrivParams, PrivTile,
-};
+use crate::memsys::{FastDiv, MemorySystem};
 use crate::op::{Addr, Op};
-use crate::stats::SimStats;
 use crate::verify::{self, Diagnostic, LintKind, Severity};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -137,12 +129,6 @@ pub struct Program {
     ops: Vec<MicroOp>,
     /// Per-worker `(start, end)` range into `ops`; `None` = no stream.
     ranges: Vec<Option<(u32, u32)>>,
-    /// True when the program is *epoch-congruent*: no poisoned ops,
-    /// every stream-bearing worker has the same global-barrier count,
-    /// and within each tile every PE stream has the same tile-barrier
-    /// count per global-barrier segment. Congruent programs under a
-    /// private L2 are eligible for epoch-parallel execution.
-    parallel_ok: bool,
     lint: Option<LintStatus>,
     /// The static epoch-dependence verdict (see [`crate::analyze`]),
     /// attached next to the lint verdict: by [`ProgramBuilder::finish`]
@@ -170,7 +156,6 @@ impl Program {
             ua: ua.clone(),
             ops: Vec::new(),
             ranges: Vec::new(),
-            parallel_ok: false,
             lint: None,
             analysis: None,
         };
@@ -205,19 +190,11 @@ impl Program {
 
         let ctx = LowerCtx::new(geom, hw, ua);
 
-        let mut poisoned = false;
-        // Per stream-bearing worker: tile-barrier count in each
-        // global-barrier segment (last entry = tail segment), used for
-        // the congruence check below. The global-barrier count is the
-        // vector length minus one.
-        let mut segments: Vec<(usize, Vec<u32>)> = Vec::new();
-
         for (worker, ops) in streams {
             assert!(worker < geom.total_workers(), "worker id out of range");
             assert!(self.ranges[worker].is_none(), "worker given two streams");
             let (_, pe) = geom.locate(worker);
             let lo = self.ops.len() as u32;
-            let mut segs: Vec<u32> = vec![0];
             for &op in ops {
                 let m = match op {
                     Op::Compute(n) => MicroOp {
@@ -228,31 +205,17 @@ impl Program {
                     },
                     Op::Load(addr) => ctx.mem_access(addr, false, pe),
                     Op::Store(addr) => ctx.mem_access(addr, true, pe),
-                    Op::SpmLoad(off) => ctx.spm_access(off, false, pe, &mut poisoned),
-                    Op::SpmStore(off) => ctx.spm_access(off, true, pe, &mut poisoned),
-                    Op::TileBarrier => {
-                        if pe.is_none() {
-                            poisoned = true;
-                            MicroOp::plain(MicroKind::PoisonLcpBar)
-                        } else {
-                            *segs.last_mut().expect("segment vector non-empty") += 1;
-                            MicroOp::plain(MicroKind::TileBarrier)
-                        }
-                    }
-                    Op::GlobalBarrier => {
-                        segs.push(0);
-                        MicroOp::plain(MicroKind::GlobalBarrier)
-                    }
+                    Op::SpmLoad(off) => ctx.spm_access(off, false, pe),
+                    Op::SpmStore(off) => ctx.spm_access(off, true, pe),
+                    Op::TileBarrier if pe.is_none() => MicroOp::plain(MicroKind::PoisonLcpBar),
+                    Op::TileBarrier => MicroOp::plain(MicroKind::TileBarrier),
+                    Op::GlobalBarrier => MicroOp::plain(MicroKind::GlobalBarrier),
                 };
                 self.ops.push(m);
             }
-            let hi = self.ops.len() as u32;
-            self.ranges[worker] = Some((lo, hi));
-            segments.push((worker, segs));
+            self.ranges[worker] = Some((lo, self.ops.len() as u32));
         }
 
-        self.parallel_ok =
-            !poisoned && congruent(geom, segments.iter().map(|(w, s)| (*w, s.as_slice())));
         self.analysis = Some(crate::analyze::analyze(self));
     }
 
@@ -281,10 +244,10 @@ impl Program {
     }
 
     /// The static epoch-dependence verdict attached to this program,
-    /// if one was computed (see [`crate::analyze`]). [`Program::compile`],
-    /// [`Program::recompile`] and [`ProgramBuilder::finish`] all attach
-    /// one; a `None` is treated as all-[`crate::analyze::ParCommit::Check`]
-    /// by the machine.
+    /// if one was computed (see [`crate::analyze`]). [`Program::compile`]
+    /// and [`Program::recompile`] always attach one,
+    /// [`ProgramBuilder::finish`] unless [`ProgramBuilder::set_analysis`]
+    /// turned it off. Execution never consults it.
     pub fn analysis(&self) -> Option<&Analysis> {
         self.analysis.as_ref()
     }
@@ -319,12 +282,6 @@ impl Program {
         &self.ua
     }
 
-    /// True if the program is epoch-congruent (see the type docs); a
-    /// prerequisite for epoch-parallel execution.
-    pub fn parallel_ok(&self) -> bool {
-        self.parallel_ok
-    }
-
     /// Total micro-ops across all workers.
     pub fn len(&self) -> usize {
         self.ops.len()
@@ -350,7 +307,7 @@ impl Program {
     /// ascending worker order (the order is load-bearing: the lane
     /// index is the scheduler tie-break key, and ascending worker order
     /// makes it match [`crate::Machine::run`]'s worker-id tie-break).
-    pub(crate) fn lanes(&self, start: u64) -> Vec<Lane> {
+    pub(crate) fn lanes(&self) -> Vec<Lane> {
         self.ranges
             .iter()
             .enumerate()
@@ -363,46 +320,12 @@ impl Program {
                         lcp: pe.is_none(),
                         pos: lo,
                         end: hi,
-                        cycle: start,
-                        state: LaneState::Running,
+                        done: 0,
                     }
                 })
             })
             .collect()
     }
-}
-
-/// Checks epoch congruence: equal global-barrier counts across all
-/// stream-bearing workers, and per tile, identical per-segment
-/// tile-barrier counts across its PE streams. Takes the segment vectors
-/// as a re-iterable view so both [`Program::recompile`] (owned vectors)
-/// and [`ProgramBuilder`] (flat arena) can share it.
-pub(crate) fn congruent<'a, I>(geom: Geometry, segments: I) -> bool
-where
-    I: Iterator<Item = (usize, &'a [u32])> + Clone,
-{
-    let mut gb: Option<usize> = None;
-    for (_, segs) in segments.clone() {
-        let count = segs.len() - 1;
-        if *gb.get_or_insert(count) != count {
-            return false;
-        }
-    }
-    for tile in 0..geom.tiles() {
-        let mut proto: Option<&[u32]> = None;
-        for (w, segs) in segments.clone() {
-            let (t, pe) = geom.locate(w);
-            if t != tile || pe.is_none() {
-                continue;
-            }
-            match proto {
-                None => proto = Some(segs),
-                Some(p) if p == segs => {}
-                Some(_) => return false,
-            }
-        }
-    }
-    true
 }
 
 /// Compile-time lowering context for one `(Geometry, HwConfig,
@@ -447,7 +370,7 @@ impl LowerCtx {
     /// Lowers a `Load`/`Store` of `addr` issued by `pe` (`None` = LCP).
     ///
     /// Kinds whose execution path does not consume `a` (every private
-    /// and direct route; see the `ExecCtx` dispatch) carry the *word*
+    /// and direct route; see [`access`]) carry the *word*
     /// index there instead, so [`crate::analyze`] can reason at word
     /// granularity without a second lowering pass. The shared-L1 kinds
     /// keep the bank-local line in `a` (execution needs it); shared-L2
@@ -505,20 +428,12 @@ impl LowerCtx {
     /// (`None` = LCP); loads and stores time identically, so one kind
     /// covers both, with the direction recorded in `a` and the word
     /// index in `b` for [`crate::analyze`] (execution reads neither).
-    /// Sets `poisoned` when the op can never execute.
+    /// An op that can never execute lowers to a poison kind.
     #[inline]
-    fn spm_access(
-        &self,
-        off: u32,
-        is_store: bool,
-        pe: Option<usize>,
-        poisoned: &mut bool,
-    ) -> MicroOp {
+    fn spm_access(&self, off: u32, is_store: bool, pe: Option<usize>) -> MicroOp {
         if !self.has_spm {
-            *poisoned = true;
             MicroOp::plain(MicroKind::PoisonSpm)
         } else if pe.is_none() {
-            *poisoned = true;
             MicroOp::plain(MicroKind::PoisonLcpSpm)
         } else if self.l1 == L1Mode::SharedCacheSpm {
             let word = self.word_div.div(off as u64);
@@ -653,7 +568,6 @@ impl ProgramBuilder {
                 ua,
                 ops: Vec::new(),
                 ranges: Vec::new(),
-                parallel_ok: false,
                 lint: None,
                 analysis: None,
             },
@@ -693,7 +607,6 @@ impl ProgramBuilder {
         self.prog.ops.clear();
         self.prog.ranges.clear();
         self.prog.ranges.resize(geom.total_workers(), None);
-        self.prog.parallel_ok = false;
         self.prog.lint = None;
         self.unsupported = hw == HwConfig::Scs && geom.pes_per_tile() < 2;
         self.lower = LowerCtx::new(geom, hw, ua);
@@ -720,9 +633,8 @@ impl ProgramBuilder {
     /// ([`crate::analyze`]) for subsequent builds. On by default.
     ///
     /// Disabled builds skip the incremental access arena and
-    /// [`ProgramBuilder::finish`] attaches no verdict: the machine then
-    /// keeps the conservative dynamic path (shadow-HBM replay, no
-    /// shared-L2 epoch parallelism) for that program. The analysis
+    /// [`ProgramBuilder::finish`] attaches no verdict. Execution never
+    /// depends on the verdict (it is reported only), but the analysis
     /// sorts every memory access the program makes, which is a real
     /// host-time cost for large programs — callers building one-shot
     /// programs executed exactly once (e.g. per-iteration scratch
@@ -886,9 +798,8 @@ impl ProgramBuilder {
                 );
             }
         }
-        let m = self
-            .lower
-            .spm_access(offset, is_store, self.cur_pe, &mut self.poisoned);
+        let m = self.lower.spm_access(offset, is_store, self.cur_pe);
+        self.poisoned |= matches!(m.kind, MicroKind::PoisonSpm | MicroKind::PoisonLcpSpm);
         self.record(&m);
         self.prog.ops.push(m);
     }
@@ -942,19 +853,18 @@ impl ProgramBuilder {
         );
         self.seal();
         self.finished = true;
-        let seg_data = &self.seg_data;
-        let congr = congruent(
-            self.prog.geom,
-            self.seg_index
-                .iter()
-                .map(|&(w, lo, hi)| (w, &seg_data[lo as usize..hi as usize])),
-        );
-        self.prog.parallel_ok = !self.poisoned && congr;
 
         // Derive the dependence verdict from the incrementally
         // maintained arena — same kernel as the post-hoc oracle
         // `analyze::analyze`, so the two paths agree by construction.
         self.prog.analysis = if self.analysis_enabled {
+            let seg_data = &self.seg_data;
+            let congr = analyze::congruent(
+                self.prog.geom,
+                self.seg_index
+                    .iter()
+                    .map(|&(w, lo, hi)| (w, &seg_data[lo as usize..hi as usize])),
+            );
             let n_epochs = self
                 .seg_index
                 .first()
@@ -1149,8 +1059,7 @@ impl ProgramBuilder {
         self.prog.ops = new_ops;
 
         // Re-anchor attached lint positions past the removed ops.
-        // Uniform removal keeps the program congruent, so parallel_ok
-        // is unaffected.
+        // Uniform removal keeps the program congruent.
         if let Some(lint) = self.prog.lint.as_mut() {
             for d in lint.diagnostics.iter_mut() {
                 if let Some(pos) = d.position.as_mut() {
@@ -1175,271 +1084,52 @@ pub(crate) struct Lane {
     pub(crate) lcp: bool,
     pub(crate) pos: u32,
     pub(crate) end: u32,
-    pub(crate) cycle: u64,
-    pub(crate) state: LaneState,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum LaneState {
-    Running,
-    /// Paused at a global barrier it arrived at on the recorded cycle
-    /// (epoch-parallel execution stops here; the driver releases).
-    AtGlobal(u64),
-    /// Stream exhausted at the recorded cycle.
-    Finished(u64),
-}
-
-/// Memory-access context the micro-op interpreter runs against: the
-/// full [`MemorySystem`] for sequential execution, or a single tile's
-/// private banks plus a shadow HBM for epoch-parallel execution.
-pub(crate) trait ExecCtx {
-    fn stats(&mut self) -> &mut SimStats;
-    /// Called before each memory micro-op with its issue point; the
-    /// shadow-HBM context uses it to key its call log.
-    #[inline]
-    fn set_op_ctx(&mut self, _cycle: u64, _worker: u32) {}
-    /// Resolves one memory micro-op to its completion cycle.
-    fn access(&mut self, op: &MicroOp, tile: usize, cycle: u64) -> u64;
-}
-
-impl ExecCtx for MemorySystem {
-    #[inline]
-    fn stats(&mut self) -> &mut SimStats {
-        &mut self.stats
-    }
-
-    #[inline]
-    fn access(&mut self, op: &MicroOp, tile: usize, cycle: u64) -> u64 {
-        match op.kind {
-            MicroKind::SharedLoad | MicroKind::SharedStore => {
-                let is_store = op.kind == MicroKind::SharedStore;
-                self.shared_l1_access(tile, op.bank as usize, op.a, op.b, is_store, cycle)
-            }
-            MicroKind::SharedDirLoad | MicroKind::SharedDirStore => {
-                let is_store = op.kind == MicroKind::SharedDirStore;
-                self.shared_direct_access(tile, op.b, is_store, cycle)
-            }
-            MicroKind::PrivLoad | MicroKind::PrivStore => {
-                let is_store = op.kind == MicroKind::PrivStore;
-                self.priv_l1(tile, op.bank as usize, op.b, is_store, cycle)
-            }
-            MicroKind::DirPeLoad | MicroKind::DirPeStore => {
-                let is_store = op.kind == MicroKind::DirPeStore;
-                self.priv_direct(tile, Some(op.bank as usize), op.b, is_store, cycle)
-            }
-            MicroKind::DirLcpLoad | MicroKind::DirLcpStore => {
-                let is_store = op.kind == MicroKind::DirLcpStore;
-                self.priv_direct(tile, None, op.b, is_store, cycle)
-            }
-            MicroKind::SpmShared => self.spm_shared_access(tile, op.bank as usize, cycle),
-            MicroKind::SpmPrivate => cycle + self.uarch().l1_latency,
-            _ => unreachable!("non-memory micro-op reached access()"),
-        }
-    }
-}
-
-/// HBM call record for epoch replay (see [`ShadowHbm`]).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct HbmCall {
-    /// Issue cycle of the micro-op that triggered the call.
-    pub(crate) cycle: u64,
-    /// Global worker id of the issuer.
-    pub(crate) worker: u32,
-    /// Call index within the micro-op (one op can fill, write back and
-    /// prefetch).
-    pub(crate) seq: u32,
-    pub(crate) kind: HbmCallKind,
-    pub(crate) line: u64,
-    pub(crate) at: u64,
-    /// Completion the shadow returned (validated for reads on replay).
+    /// Cycle the stream ran out at. Recorded per lane rather than as a
+    /// running maximum in [`exec_span`]: a value live across the whole
+    /// dispatch loop measurably slowed it on SCS streams.
     pub(crate) done: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum HbmCallKind {
-    Read,
-    Write,
-    Prefetch,
-}
-
-/// An [`Hbm`] clone that logs every call. Each tile of an epoch runs
-/// against its own shadow (seeded from the epoch-start HBM state);
-/// afterwards the logs are merged into the order sequential execution
-/// would have issued them — `(op issue cycle, worker, seq)`, which is
-/// exactly the event loop's processing order — and replayed against the
-/// real stack. If every *read* completion matches, per-tile timing was
-/// unaffected by cross-tile channel contention and the epoch commits
-/// (write/prefetch completions are discarded by every caller, so their
-/// divergence cannot alter timing; the replay still applies them, which
-/// also reproduces the sequential read/write counters exactly).
-#[derive(Debug)]
-pub(crate) struct ShadowHbm {
-    inner: Hbm,
-    log: Vec<HbmCall>,
-    cycle: u64,
-    worker: u32,
-    seq: u32,
-}
-
-impl ShadowHbm {
-    pub(crate) fn new(inner: Hbm) -> Self {
-        ShadowHbm {
-            inner,
-            log: Vec::new(),
-            cycle: 0,
-            worker: 0,
-            seq: 0,
+/// Resolves one memory micro-op against the memory system and returns
+/// its completion cycle.
+#[inline]
+fn access(mem: &mut MemorySystem, op: &MicroOp, tile: usize, cycle: u64) -> u64 {
+    match op.kind {
+        MicroKind::SharedLoad | MicroKind::SharedStore => {
+            let is_store = op.kind == MicroKind::SharedStore;
+            mem.shared_l1_access(tile, op.bank as usize, op.a, op.b, is_store, cycle)
         }
-    }
-
-    #[inline]
-    fn set_op(&mut self, cycle: u64, worker: u32) {
-        self.cycle = cycle;
-        self.worker = worker;
-        self.seq = 0;
-    }
-
-    #[inline]
-    fn record(&mut self, kind: HbmCallKind, line: u64, at: u64, done: u64) {
-        self.log.push(HbmCall {
-            cycle: self.cycle,
-            worker: self.worker,
-            seq: self.seq,
-            kind,
-            line,
-            at,
-            done,
-        });
-        self.seq += 1;
-    }
-
-    /// Consumes the shadow into its final HBM state and call log.
-    pub(crate) fn into_state_and_log(self) -> (Hbm, Vec<HbmCall>) {
-        (self.inner, self.log)
-    }
-}
-
-impl HbmSink for ShadowHbm {
-    #[inline]
-    fn read(&mut self, line: u64, cycle: u64) -> u64 {
-        let done = self.inner.read(line, cycle);
-        self.record(HbmCallKind::Read, line, cycle, done);
-        done
-    }
-
-    #[inline]
-    fn write(&mut self, line: u64, cycle: u64) -> u64 {
-        let done = self.inner.write(line, cycle);
-        self.record(HbmCallKind::Write, line, cycle, done);
-        done
-    }
-
-    #[inline]
-    fn prefetch(&mut self, line: u64, cycle: u64) -> u64 {
-        let done = self.inner.prefetch(line, cycle);
-        self.record(HbmCallKind::Prefetch, line, cycle, done);
-        done
-    }
-}
-
-/// One tile's execution context for the epoch-parallel core: the tile's
-/// private bank slices, a shadow HBM and a local stats block.
-#[derive(Debug)]
-pub(crate) struct TileExec<'a> {
-    l1: &'a mut [CacheBank],
-    l2: &'a mut [CacheBank],
-    shadow: ShadowHbm,
-    stats: SimStats,
-    params: PrivParams,
-    spm_latency: u64,
-}
-
-impl<'a> TileExec<'a> {
-    pub(crate) fn new(
-        l1: &'a mut [CacheBank],
-        l2: &'a mut [CacheBank],
-        hbm: Hbm,
-        params: PrivParams,
-        spm_latency: u64,
-    ) -> Self {
-        TileExec {
-            l1,
-            l2,
-            shadow: ShadowHbm::new(hbm),
-            stats: SimStats::default(),
-            params,
-            spm_latency,
+        MicroKind::SharedDirLoad | MicroKind::SharedDirStore => {
+            let is_store = op.kind == MicroKind::SharedDirStore;
+            mem.direct_access(tile, None, op.b, is_store, cycle)
         }
-    }
-
-    /// Consumes the context into its local stats, HBM call log and the
-    /// shadow's final HBM state (merged directly into the real HBM on a
-    /// proven replay-free commit).
-    pub(crate) fn into_parts(self) -> (SimStats, Vec<HbmCall>, Hbm) {
-        let (hbm, log) = self.shadow.into_state_and_log();
-        (self.stats, log, hbm)
-    }
-}
-
-impl ExecCtx for TileExec<'_> {
-    #[inline]
-    fn stats(&mut self) -> &mut SimStats {
-        &mut self.stats
-    }
-
-    #[inline]
-    fn set_op_ctx(&mut self, cycle: u64, worker: u32) {
-        self.shadow.set_op(cycle, worker);
-    }
-
-    #[inline]
-    fn access(&mut self, op: &MicroOp, _tile: usize, cycle: u64) -> u64 {
-        let mut t = PrivTile {
-            l1: &mut *self.l1,
-            l2: &mut *self.l2,
-            hbm: &mut self.shadow,
-            stats: &mut self.stats,
-        };
-        match op.kind {
-            MicroKind::PrivLoad | MicroKind::PrivStore => {
-                let is_store = op.kind == MicroKind::PrivStore;
-                priv_l1_access(
-                    &mut t,
-                    &self.params,
-                    op.bank as usize,
-                    op.b,
-                    is_store,
-                    cycle,
-                )
-            }
-            MicroKind::DirPeLoad | MicroKind::DirPeStore => {
-                let is_store = op.kind == MicroKind::DirPeStore;
-                priv_direct_access(
-                    &mut t,
-                    &self.params,
-                    Some(op.bank as usize),
-                    op.b,
-                    is_store,
-                    cycle,
-                )
-            }
-            MicroKind::DirLcpLoad | MicroKind::DirLcpStore => {
-                let is_store = op.kind == MicroKind::DirLcpStore;
-                priv_direct_access(&mut t, &self.params, None, op.b, is_store, cycle)
-            }
-            MicroKind::SpmPrivate => cycle + self.spm_latency,
-            _ => unreachable!("shared-path micro-op in a private-tile context"),
+        MicroKind::PrivLoad | MicroKind::PrivStore => {
+            let is_store = op.kind == MicroKind::PrivStore;
+            mem.priv_l1_access(tile, op.bank as usize, op.b, is_store, cycle)
         }
+        MicroKind::DirPeLoad | MicroKind::DirPeStore => {
+            let is_store = op.kind == MicroKind::DirPeStore;
+            mem.direct_access(tile, Some(op.bank as usize), op.b, is_store, cycle)
+        }
+        MicroKind::DirLcpLoad | MicroKind::DirLcpStore => {
+            let is_store = op.kind == MicroKind::DirLcpStore;
+            mem.direct_access(tile, None, op.b, is_store, cycle)
+        }
+        MicroKind::SpmShared => mem.spm_shared_access(tile, op.bank as usize, cycle),
+        MicroKind::SpmPrivate => cycle + mem.uarch().l1_latency,
+        _ => unreachable!("non-memory micro-op reached access()"),
     }
 }
 
-/// Executes `lanes` over `prog`'s micro-ops until every lane finishes
-/// or (with `stop_at_global`) pauses at a global barrier.
+/// Executes every worker's micro-ops in `prog` to completion against
+/// `mem`, all workers starting at cycle `start`, and returns the cycle
+/// the last worker finished at (`start` when no worker has a stream).
 ///
 /// This is the micro-op twin of [`crate::Machine::run`]'s event loop:
 /// same scheduler, same tie-breaks, same inline-continue rule — the
-/// outcome (cycles, every [`SimStats`] counter, bank and HBM state) is
-/// bit-for-bit identical, though the steps that reach it are not.
+/// outcome (cycles, every [`crate::SimStats`] counter, bank and HBM
+/// state) is bit-for-bit identical, though the steps that reach it are
+/// not.
 ///
 /// The one difference is compute retirement: after an op, every
 /// `Compute` that immediately follows in the same lane is retired
@@ -1452,25 +1142,24 @@ impl ExecCtx for TileExec<'_> {
 /// key in between (any event that would have run between the two keys
 /// still runs before the later one). Counter sums are order-free.
 ///
-/// `tile_base` is the tile index of `lanes[*].tile`'s smallest value
-/// when executing a single tile (`tiles == 1`); sequential execution
-/// passes `0` and the full tile count. Lanes must be in ascending
-/// global-worker order: the scheduler breaks cycle ties by lane index,
-/// which then matches the worker-id tie-break of [`crate::Machine::run`].
-pub(crate) fn exec_span<C: ExecCtx>(
-    ctx: &mut C,
+/// Lanes come from [`Program::lanes`] in ascending global-worker order:
+/// the scheduler breaks cycle ties by lane index, which then matches
+/// the worker-id tie-break of [`crate::Machine::run`].
+// Kept out of line: inlined into its one caller it measured a few
+// percent slower on SCS streams.
+#[inline(never)]
+pub(crate) fn exec_span(
+    mem: &mut MemorySystem,
     prog: &Program,
-    lanes: &mut [Lane],
-    tile_base: usize,
-    tiles: usize,
-    stop_at_global: bool,
-) -> Result<(), SimError> {
+    start: u64,
+) -> Result<u64, SimError> {
     let ops = prog.micro_ops();
-    let mut tile_barriers: Vec<BarrierState> = (0..tiles)
+    let mut lanes = prog.lanes();
+    let mut tile_barriers: Vec<BarrierState> = (0..prog.geom.tiles())
         .map(|t| BarrierState {
             expected: lanes
                 .iter()
-                .filter(|l| l.tile as usize == tile_base + t && !l.lcp)
+                .filter(|l| l.tile as usize == t && !l.lcp)
                 .count(),
             waiting: Vec::new(),
         })
@@ -1480,12 +1169,9 @@ pub(crate) fn exec_span<C: ExecCtx>(
         waiting: Vec::new(),
     };
 
-    let start_max = lanes.iter().map(|l| l.cycle).max().unwrap_or(0);
-    let mut sched = Sched::new(lanes.len(), start_max);
-    for (i, lane) in lanes.iter().enumerate() {
-        if lane.state == LaneState::Running {
-            sched.push(lane.cycle, i as u32);
-        }
+    let mut sched = Sched::new(lanes.len(), start);
+    for i in 0..lanes.len() {
+        sched.push(start, i as u32);
     }
 
     let mut cur = sched.pop();
@@ -1494,17 +1180,16 @@ pub(crate) fn exec_span<C: ExecCtx>(
         let tile = lane.tile as usize;
         loop {
             if lane.pos == lane.end {
-                lane.cycle = cycle;
-                lane.state = LaneState::Finished(cycle);
+                lane.done = cycle;
                 cur = sched.pop();
                 continue 'outer;
             }
             let op = &ops[lane.pos as usize];
             lane.pos += 1;
-            ctx.stats().ops += 1;
+            mem.stats.ops += 1;
             let mut done = match op.kind {
                 MicroKind::Compute => {
-                    ctx.stats().compute_cycles += op.a;
+                    mem.stats.compute_cycles += op.a;
                     cycle + op.a
                 }
                 MicroKind::SharedLoad
@@ -1512,10 +1197,9 @@ pub(crate) fn exec_span<C: ExecCtx>(
                 | MicroKind::PrivLoad
                 | MicroKind::DirPeLoad
                 | MicroKind::DirLcpLoad => {
-                    ctx.stats().loads += 1;
-                    ctx.set_op_ctx(cycle, lane.worker);
-                    let done = ctx.access(op, tile, cycle).max(cycle + 1);
-                    ctx.stats().mem_stall_cycles += (done - cycle).saturating_sub(1);
+                    mem.stats.loads += 1;
+                    let done = access(mem, op, tile, cycle).max(cycle + 1);
+                    mem.stats.mem_stall_cycles += (done - cycle).saturating_sub(1);
                     done
                 }
                 MicroKind::SharedStore
@@ -1523,38 +1207,31 @@ pub(crate) fn exec_span<C: ExecCtx>(
                 | MicroKind::PrivStore
                 | MicroKind::DirPeStore
                 | MicroKind::DirLcpStore => {
-                    ctx.stats().stores += 1;
-                    ctx.set_op_ctx(cycle, lane.worker);
-                    let done = ctx.access(op, tile, cycle).max(cycle + 1);
-                    ctx.stats().mem_stall_cycles += (done - cycle).saturating_sub(1);
+                    mem.stats.stores += 1;
+                    let done = access(mem, op, tile, cycle).max(cycle + 1);
+                    mem.stats.mem_stall_cycles += (done - cycle).saturating_sub(1);
                     done
                 }
                 MicroKind::SpmShared | MicroKind::SpmPrivate => {
-                    ctx.stats().spm_accesses += 1;
-                    ctx.set_op_ctx(cycle, lane.worker);
-                    let done = ctx.access(op, tile, cycle);
-                    ctx.stats().mem_stall_cycles += (done - cycle).saturating_sub(1);
+                    mem.stats.spm_accesses += 1;
+                    let done = access(mem, op, tile, cycle);
+                    mem.stats.mem_stall_cycles += (done - cycle).saturating_sub(1);
                     done
                 }
                 MicroKind::TileBarrier => {
-                    let b = &mut tile_barriers[tile - tile_base];
+                    let b = &mut tile_barriers[tile];
                     b.waiting.push((li, cycle));
                     if b.waiting.len() == b.expected {
-                        release(b, cycle, &mut sched, ctx.stats());
+                        release(b, cycle, &mut sched, &mut mem.stats);
                     }
                     cur = sched.pop();
                     continue 'outer;
                 }
                 MicroKind::GlobalBarrier => {
-                    if stop_at_global {
-                        lane.cycle = cycle;
-                        lane.state = LaneState::AtGlobal(cycle);
-                    } else {
-                        let b = &mut global_barrier;
-                        b.waiting.push((li, cycle));
-                        if b.waiting.len() == b.expected {
-                            release(b, cycle, &mut sched, ctx.stats());
-                        }
+                    let b = &mut global_barrier;
+                    b.waiting.push((li, cycle));
+                    if b.waiting.len() == b.expected {
+                        release(b, cycle, &mut sched, &mut mem.stats);
                     }
                     cur = sched.pop();
                     continue 'outer;
@@ -1568,7 +1245,7 @@ pub(crate) fn exec_span<C: ExecCtx>(
                 MicroKind::PoisonLcpSpm => {
                     // Reproduce the memory system's own assertion: the
                     // access is counted, then the access path panics.
-                    ctx.stats().spm_accesses += 1;
+                    mem.stats.spm_accesses += 1;
                     panic!("LCPs have no scratchpad");
                 }
                 MicroKind::PoisonLcpBar => {
@@ -1583,9 +1260,8 @@ pub(crate) fn exec_span<C: ExecCtx>(
                     break;
                 }
                 lane.pos += 1;
-                let stats = ctx.stats();
-                stats.ops += 1;
-                stats.compute_cycles += next.a;
+                mem.stats.ops += 1;
+                mem.stats.compute_cycles += next.a;
                 done += next.a;
             }
             match sched.step(done, li) {
@@ -1600,30 +1276,18 @@ pub(crate) fn exec_span<C: ExecCtx>(
 
     let mut blocked: Vec<usize> = tile_barriers
         .iter()
+        .chain(std::iter::once(&global_barrier))
         .flat_map(|b| {
             b.waiting
                 .iter()
                 .map(|&(l, _)| lanes[l as usize].worker as usize)
         })
         .collect();
-    blocked.extend(
-        global_barrier
-            .waiting
-            .iter()
-            .map(|&(l, _)| lanes[l as usize].worker as usize),
-    );
     if !blocked.is_empty() {
-        if stop_at_global {
-            // Lanes paused at the global barrier are blocked too: the
-            // barrier can never complete once a peer is deadlocked.
-            blocked.extend(lanes.iter().filter_map(|l| {
-                matches!(l.state, LaneState::AtGlobal(_)).then_some(l.worker as usize)
-            }));
-        }
         blocked.sort_unstable();
         return Err(SimError::BarrierDeadlock { blocked });
     }
-    Ok(())
+    Ok(lanes.iter().map(|l| l.done).fold(start, u64::max))
 }
 
 #[cfg(test)]
@@ -1712,7 +1376,11 @@ mod tests {
         let p = compile(HwConfig::Pc, &streams);
         assert_eq!(p.micro_ops()[0].kind, MicroKind::PoisonSpm);
         assert_eq!(p.micro_ops()[1].kind, MicroKind::PoisonLcpBar);
-        assert!(!p.parallel_ok(), "poisoned programs are not parallel-safe");
+        assert!(!congruent_of(&p), "poisoned programs are not congruent");
+    }
+
+    fn congruent_of(p: &Program) -> bool {
+        p.analysis().is_some_and(|a| a.congruent())
     }
 
     #[test]
@@ -1728,17 +1396,17 @@ mod tests {
             b
         };
         let streams = ops_of(vec![(g.pe_id(0, 0), mk(2)), (g.pe_id(0, 1), mk(2))]);
-        assert!(compile(HwConfig::Pc, &streams).parallel_ok());
+        assert!(congruent_of(&compile(HwConfig::Pc, &streams)));
 
         // Tile-barrier counts differ within the segment: not congruent.
         let streams = ops_of(vec![(g.pe_id(0, 0), mk(2)), (g.pe_id(0, 1), mk(1))]);
-        assert!(!compile(HwConfig::Pc, &streams).parallel_ok());
+        assert!(!congruent_of(&compile(HwConfig::Pc, &streams)));
 
         // Global-barrier counts differ: not congruent.
         let mut no_gb = StreamBuilder::new();
         no_gb.compute(1);
         let streams = ops_of(vec![(g.pe_id(0, 0), mk(0)), (g.pe_id(0, 1), no_gb)]);
-        assert!(!compile(HwConfig::Pc, &streams).parallel_ok());
+        assert!(!congruent_of(&compile(HwConfig::Pc, &streams)));
     }
 
     #[test]
@@ -1840,7 +1508,7 @@ mod tests {
             let b = build(hw, &streams);
             assert_eq!(b.micro_ops(), p.micro_ops(), "{hw}: micro-ops diverge");
             assert_eq!(b.ranges, p.ranges, "{hw}: ranges diverge");
-            assert_eq!(b.parallel_ok(), p.parallel_ok(), "{hw}: parallel_ok");
+            assert_eq!(b.analysis(), p.analysis(), "{hw}: analysis");
             assert_eq!(b.geometry(), p.geometry());
             assert_eq!(b.hw(), p.hw());
             assert_ne!(b.id(), p.id(), "each build is a fresh artifact");
@@ -1886,7 +1554,7 @@ mod tests {
         let first_id = {
             let p = b.finish();
             assert_eq!(p.lint_clean(), Some(false));
-            assert!(!p.parallel_ok());
+            assert!(!congruent_of(p));
             p.id()
         };
         // Build 2: clean; nothing from build 1 may leak through.
@@ -1903,7 +1571,7 @@ mod tests {
         assert_eq!(p.hw(), HwConfig::Ps);
         assert_eq!(p.lint_clean(), Some(true));
         assert!(p.lint_diagnostics().expect("verdict attached").is_empty());
-        assert!(p.parallel_ok());
+        assert!(congruent_of(p));
     }
 
     #[test]

@@ -27,21 +27,18 @@ impl MemoStats {
     }
 }
 
-/// Epoch-commit counters for [`crate::Machine::run_program`]'s
-/// parallel-tiles mode: how each global-barrier epoch was committed.
-/// Cumulative over the machine's lifetime (like [`MemoStats`]). Runs
-/// served from the steady-state memo skip epoch execution, but the memo
-/// re-applies the recorded run's counter deltas so these keep growing
-/// exactly as if every run had been simulated.
+/// Epoch-commit counters of the former epoch-parallel execution core.
+/// The machine now executes every program sequentially and commits no
+/// epochs, so every field always reads zero; the type stays because
+/// reports (`CacheStats::epochs` in the `cosparse` crate) still carry
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EpochStats {
-    /// Epochs the static analyzer proved interference-free and that
-    /// committed directly, skipping the shadow-HBM replay.
+    /// Epochs committed on a static proof (always zero).
     pub proven: u64,
-    /// Epochs committed through the dynamic shadow-HBM replay check.
+    /// Epochs committed through a dynamic replay check (always zero).
     pub replayed: u64,
-    /// Replayed epochs whose parallel timing mismatched the replay and
-    /// were rolled back to sequential execution.
+    /// Replayed epochs rolled back to sequential (always zero).
     pub rolled_back: u64,
 }
 

@@ -4,9 +4,7 @@
 //! pinning the exact diagnostic text and provenance fields, plus the
 //! behaviour of the opt-in [`ProgramBuilder::elide_proven_barriers`].
 
-use transmuter::{
-    ExecMode, Geometry, HwConfig, LintKind, Machine, MicroArch, ProgramBuilder, Severity,
-};
+use transmuter::{Geometry, HwConfig, LintKind, Machine, MicroArch, ProgramBuilder, Severity};
 
 fn builder(hw: HwConfig) -> ProgramBuilder {
     let mut b = ProgramBuilder::new();
@@ -187,7 +185,6 @@ fn redundant_barrier_flagged_and_elided() {
 
     let mut m = Machine::new(Geometry::new(2, 4), MicroArch::paper());
     m.reconfigure(HwConfig::Pc);
-    m.set_exec_mode(ExecMode::Sequential);
     m.run_program(prog).expect("elided program still runs");
 }
 

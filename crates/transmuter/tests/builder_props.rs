@@ -137,7 +137,10 @@ proptest! {
         let built = b.finish();
 
         prop_assert_eq!(built.len(), legacy.len());
-        prop_assert_eq!(built.parallel_ok(), legacy.parallel_ok());
+        prop_assert_eq!(
+            built.analysis().map(|a| a.congruent()),
+            legacy.analysis().map(|a| a.congruent())
+        );
         prop_assert_eq!(built.lint_clean(), legacy.lint_clean());
         prop_assert_eq!(built.lint_diagnostics(), legacy.lint_diagnostics());
 
